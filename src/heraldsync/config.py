@@ -9,6 +9,7 @@ all errors carry the offending key and line number.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping
@@ -120,8 +121,15 @@ def _parse_enum(enum_cls):
     return parse
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in text.split(","))
+    return tuple(_parse_float(part.strip()) for part in text.split(","))
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -145,12 +153,12 @@ class _KeySpec:
 def _source_keys(tag: str) -> dict[str, _KeySpec]:
     prefix = f"protocol.source_{tag}."
     return {
-        prefix + "p_as": _KeySpec(float, default=2.0e-3),
-        prefix + "chi": _KeySpec(float),
-        prefix + "eta_as": _KeySpec(float),
-        prefix + "gamma0": _KeySpec(float, default=0.08),
-        prefix + "alpha_override": _KeySpec(float),
-        prefix + "dark_click_prob": _KeySpec(float, default=0.0),
+        prefix + "p_as": _KeySpec(_parse_float, default=2.0e-3),
+        prefix + "chi": _KeySpec(_parse_float),
+        prefix + "eta_as": _KeySpec(_parse_float),
+        prefix + "gamma0": _KeySpec(_parse_float, default=0.08),
+        prefix + "alpha_override": _KeySpec(_parse_float),
+        prefix + "dark_click_prob": _KeySpec(_parse_float, default=0.0),
     }
 
 
@@ -160,33 +168,33 @@ _KEYS: dict[str, _KeySpec] = {
     "trials": _KeySpec(int, default=100_000),
     "output_path": _KeySpec(str, default="out"),
     "protocol.n_write_max": _KeySpec(int, default=12),
-    "protocol.dt_write_ns": _KeySpec(float, default=800.0),
-    "protocol.dt_read_ns": _KeySpec(float, default=400.0),
-    "protocol.tau_c_us": _KeySpec(float, default=12.0),
+    "protocol.dt_write_ns": _KeySpec(_parse_float, default=800.0),
+    "protocol.dt_read_ns": _KeySpec(_parse_float, default=400.0),
+    "protocol.tau_c_us": _KeySpec(_parse_float, default=12.0),
     "protocol.decay_model": _KeySpec(_parse_enum(DecayModel), default=DecayModel.GAUSSIAN_HALF),
-    "protocol.latency_ns": _KeySpec(float, default=0.0),
+    "protocol.latency_ns": _KeySpec(_parse_float, default=0.0),
     **_source_keys("a"),
     **_source_keys("b"),
     "enhancement.tau_c_us_list": _KeySpec(_parse_float_list),
     "enhancement.n_write_max_list": _KeySpec(_parse_int_list),
     "hom.domain": _KeySpec(_parse_enum(ScanDomain), default=ScanDomain.TIME),
-    "hom.half_range_ns": _KeySpec(float, default=50.0),
-    "hom.half_range_mhz": _KeySpec(float, default=30.0),
+    "hom.half_range_ns": _KeySpec(_parse_float, default=50.0),
+    "hom.half_range_mhz": _KeySpec(_parse_float, default=30.0),
     "hom.points": _KeySpec(int, default=61),
-    "hom.coherence_fwhm_ns": _KeySpec(float, default=25.0),
-    "hom.alpha1": _KeySpec(float, default=0.12),
-    "hom.alpha2": _KeySpec(float, default=0.17),
-    "hom.p_i1": _KeySpec(float, default=1.0),
-    "hom.p_i2": _KeySpec(float, default=1.0),
+    "hom.coherence_fwhm_ns": _KeySpec(_parse_float, default=25.0),
+    "hom.alpha1": _KeySpec(_parse_float, default=0.12),
+    "hom.alpha2": _KeySpec(_parse_float, default=0.17),
+    "hom.p_i1": _KeySpec(_parse_float, default=1.0),
+    "hom.p_i2": _KeySpec(_parse_float, default=1.0),
     "chsh.mode": _KeySpec(_parse_enum(ChshMode), default=ChshMode.ANALYTIC),
-    "chsh.theta1_deg": _KeySpec(float, default=0.0),
-    "chsh.theta1_prime_deg": _KeySpec(float, default=45.0),
-    "chsh.theta2_deg": _KeySpec(float, default=67.5),
-    "chsh.theta2_prime_deg": _KeySpec(float, default=22.5),
-    "chsh.alpha1": _KeySpec(float, default=0.12),
-    "chsh.alpha2": _KeySpec(float, default=0.17),
-    "chsh.p_i1": _KeySpec(float, default=1.0),
-    "chsh.p_i2": _KeySpec(float, default=1.0),
+    "chsh.theta1_deg": _KeySpec(_parse_float, default=0.0),
+    "chsh.theta1_prime_deg": _KeySpec(_parse_float, default=45.0),
+    "chsh.theta2_deg": _KeySpec(_parse_float, default=67.5),
+    "chsh.theta2_prime_deg": _KeySpec(_parse_float, default=22.5),
+    "chsh.alpha1": _KeySpec(_parse_float, default=0.12),
+    "chsh.alpha2": _KeySpec(_parse_float, default=0.17),
+    "chsh.p_i1": _KeySpec(_parse_float, default=1.0),
+    "chsh.p_i2": _KeySpec(_parse_float, default=1.0),
     "chsh.n_events": _KeySpec(int, default=1_000_000),
     "protocol_sim.record_trials": _KeySpec(_parse_bool, default=False),
 }

@@ -52,8 +52,10 @@ class TemporalMode:
     polarization_angle_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.coherence_fwhm_ns <= 0.0:
-            raise ValueError(f"coherence_fwhm_ns must be positive, got {self.coherence_fwhm_ns}")
+        if not (math.isfinite(self.coherence_fwhm_ns) and self.coherence_fwhm_ns > 0.0):
+            raise ValueError(
+                f"coherence_fwhm_ns must be positive and finite, got {self.coherence_fwhm_ns}"
+            )
 
     @property
     def sigma_ns(self) -> float:

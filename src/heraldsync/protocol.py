@@ -95,14 +95,14 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if self.n_write_max < 1:
             raise ValueError(f"n_write_max must be >= 1, got {self.n_write_max}")
-        if self.dt_write_ns <= 0.0:
-            raise ValueError(f"dt_write_ns must be positive, got {self.dt_write_ns}")
-        if self.dt_read_ns < 0.0:
-            raise ValueError(f"dt_read_ns must be nonnegative, got {self.dt_read_ns}")
-        if self.tau_c_us <= 0.0:
-            raise ValueError(f"tau_c_us must be positive, got {self.tau_c_us}")
-        if self.latency_ns < 0.0:
-            raise ValueError(f"latency_ns must be nonnegative, got {self.latency_ns}")
+        for name in ("dt_write_ns", "tau_c_us"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("dt_read_ns", "latency_ns"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
     def gamma_at(self, source: SourceParams, hold_time_ns):
         return memory_retrieval_efficiency(
@@ -121,7 +121,9 @@ def p4c_no_feedback(params: ProtocolParams) -> float:
     The product p_a * gamma_a(dt_read) * p_b * gamma_b(dt_read), with the
     retrieval factor generalized to the read-success probability of each
     source's heralded shape (identical to gamma for a single-excitation
-    memory).
+    memory).  The single-shot baseline reads both nodes on a fixed
+    schedule with no ready-message exchange, so it pays no rendezvous
+    latency.
     """
     pa = params.source_a.herald_prob
     pb = params.source_b.herald_prob
@@ -142,8 +144,9 @@ def p4c_feedback_closed_form(params: ProtocolParams) -> float:
     """Exact four-fold coincidence probability under feedback.
 
     Sums over the herald attempts (i, j) of the two nodes: the node that
-    heralds first waits (j - i) write slots plus the read delay while its
-    memory decays, the later one waits only the read delay.  Events are
+    heralds first waits (j - i) write slots plus the rendezvous overhead
+    (a message round-trip, 2 * latency, and the read delay) while its
+    memory decays, the later one waits only the overhead.  Events are
     partitioned by which node heralds first; the simultaneous-herald
     stratum is counted once.  Evaluated in O(N) via geometric partial
     sums.
@@ -153,16 +156,16 @@ def p4c_feedback_closed_form(params: ProtocolParams) -> float:
     if pa == 0.0 or pb == 0.0:
         return 0.0
     n = params.n_write_max
-    dtr = params.dt_read_ns
+    overhead = 2.0 * params.latency_ns + params.dt_read_ns
     qa, qb = 1.0 - pa, 1.0 - pb
 
     shape_a = params.source_a.heralded_shape()
     shape_b = params.source_b.heralded_shape()
     d = np.arange(n, dtype=float)
-    t_wait = d * params.dt_write_ns + dtr
+    t_wait = d * params.dt_write_ns + overhead
     ra_wait = _read_success(shape_a, params.gamma_at(params.source_a, t_wait))
     rb_wait = _read_success(shape_b, params.gamma_at(params.source_b, t_wait))
-    ra0 = float(ra_wait[0])  # hold = dt_read
+    ra0 = float(ra_wait[0])  # hold = overhead
     rb0 = float(rb_wait[0])
 
     # G[m] = sum_{i=0}^{m} (qa*qb)^i; the inner depletion sum for gap d

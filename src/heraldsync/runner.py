@@ -26,6 +26,7 @@ from .interference import (
     sample_chsh_experiment,
 )
 from .protocol import (
+    _CHUNK_SIZE,
     enhancement_factor,
     p4c_feedback_closed_form,
     p4c_no_feedback,
@@ -50,8 +51,12 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class DataTable:
+    """A CSV table: a list of row tuples, or the structured array of trial
+    records (``TRIAL_RECORD_DTYPE``, hold times following from the heralds
+    as in a campaign), which is formatted by column."""
+
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: list[tuple] | np.ndarray
 
 
 def _fmt(value: Any) -> str:
@@ -60,6 +65,30 @@ def _fmt(value: Any) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".10g")
+
+
+def _record_lines(block: np.ndarray) -> str:
+    """CSV lines of a block of trial records.
+
+    Everything after the trial index is a function of (herald_a, herald_b,
+    four_fold), since the hold times follow from the two heralds.  Each
+    distinct suffix is formatted once and indexed per row.
+    """
+    # Ranking each herald column first keeps the joint key below
+    # 2 * len(block)**2, whatever n_write_max is.
+    _, rank_a = np.unique(block["herald_a"], return_inverse=True)
+    values_b, rank_b = np.unique(block["herald_b"], return_inverse=True)
+    key = (rank_a * values_b.size + rank_b) * 2 + block["four_fold"]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    names = block.dtype.names[1:]
+    suffixes = np.array(
+        ["".join("," + _fmt(block[name][i]) for name in names) + "\n" for i in first.tolist()],
+        dtype=object,
+    )
+    cells: list = [None] * (2 * block.size)
+    cells[0::2] = block["trial"].tolist()
+    cells[1::2] = suffixes[inverse].tolist()
+    return ("%d%s" * block.size) % tuple(cells)
 
 
 def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], DataTable]:
@@ -136,9 +165,7 @@ def _run_protocol_sim(config: RunConfig) -> tuple[dict[str, Any], DataTable | No
     table = None
     if config.record_trials:
         stats, records = simulate_campaign_records(params, config.trials, config.seed)
-        columns = ("trial", "herald_a", "herald_b", "hold_a_ns", "hold_b_ns", "four_fold")
-        rows = [tuple(rec[name] for name in columns) for rec in records]
-        table = DataTable(columns, rows)
+        table = DataTable(records.dtype.names, records)
     else:
         stats = simulate_campaign(params, config.trials, config.seed)
     metrics = {
@@ -176,7 +203,8 @@ def run_scenario(config: RunConfig) -> tuple[RunSummary, DataTable | None]:
 def emit_outputs(summary: RunSummary, table: DataTable | None, path: str | Path) -> None:
     """Write summary.json (and table.csv when present) under ``path``.
 
-    LF newlines; floats carry at least six significant digits.
+    LF newlines; floats carry at least six significant digits.  A trial
+    record table is formatted and written one campaign chunk at a time.
     """
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -193,7 +221,12 @@ def emit_outputs(summary: RunSummary, table: DataTable | None, path: str | Path)
     }
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     (out_dir / SUMMARY_FILE).write_bytes(text.encode("utf-8"))
-    if table is not None:
-        lines = [",".join(table.columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
-        (out_dir / TABLE_FILE).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    if table is None:
+        return
+    with (out_dir / TABLE_FILE).open("w", encoding="utf-8", newline="\n") as out:
+        out.write(",".join(table.columns) + "\n")
+        if isinstance(table.rows, np.ndarray):
+            for lo in range(0, table.rows.size, _CHUNK_SIZE):
+                out.write(_record_lines(table.rows[lo : lo + _CHUNK_SIZE]))
+        else:
+            out.write("".join(",".join(_fmt(v) for v in row) + "\n" for row in table.rows))

@@ -74,6 +74,12 @@ def test_mode_rejects_nonpositive_width():
         TemporalMode(coherence_fwhm_ns=0.0)
 
 
+@pytest.mark.parametrize("width", [math.nan, math.inf])
+def test_mode_rejects_non_finite_width(width):
+    with pytest.raises(ValueError, match="coherence_fwhm_ns"):
+        TemporalMode(coherence_fwhm_ns=width)
+
+
 def test_time_bandwidth_identity():
     assert TIME_BANDWIDTH_PRODUCT == pytest.approx(0.88254, abs=5e-6)
     for fwhm in np.linspace(1.0, 200.0, 40):

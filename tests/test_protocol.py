@@ -47,8 +47,9 @@ def p4c_brute_force(params: ProtocolParams) -> float:
         for j in range(params.n_write_max):
             weight = pa * (1.0 - pa) ** i * pb * (1.0 - pb) ** j
             later = max(i, j)
-            hold_a = (later - i) * params.dt_write_ns + params.dt_read_ns
-            hold_b = (later - j) * params.dt_write_ns + params.dt_read_ns
+            overhead = 2.0 * params.latency_ns + params.dt_read_ns
+            hold_a = (later - i) * params.dt_write_ns + overhead
+            hold_b = (later - j) * params.dt_write_ns + overhead
             total += (
                 weight
                 * read_success(shape_a, params.source_a, hold_a)
@@ -137,10 +138,36 @@ BRUTE_FORCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("params", BRUTE_FORCE_CASES)
+LATENCY_CASES = [
+    make_params(p_a=0.3, p_b=0.5, gamma0=0.6, n_write_max=4, latency_ns=1500.0, tau_c_us=4.0),
+    ProtocolParams(
+        source_a=SourceParams(gamma0=0.5, p_as=0.2, eta_as=0.5, dark_click_prob=1e-3),
+        source_b=SourceParams(gamma0=0.45, p_as=0.25, eta_as=0.6, dark_click_prob=2e-3),
+        tau_c_us=8.0,
+        decay_model=DecayModel.EXPONENTIAL,
+        latency_ns=250.0,
+    ),
+]
+
+
+@pytest.mark.parametrize("params", BRUTE_FORCE_CASES + LATENCY_CASES)
 def test_closed_form_matches_brute_force(params):
     assert p4c_feedback_closed_form(params) == pytest.approx(
         p4c_brute_force(params), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("params", LATENCY_CASES)
+def test_closed_form_latency_adds_rendezvous_to_every_hold(params):
+    # every hold includes the message round-trip; the single-shot baseline
+    # has no rendezvous and pays none
+    single = replace(params, n_write_max=1)
+    overhead = 2.0 * params.latency_ns + params.dt_read_ns
+    shifted = replace(single, latency_ns=0.0, dt_read_ns=overhead)
+    assert p4c_feedback_closed_form(single) == pytest.approx(p4c_no_feedback(shifted), rel=1e-14)
+    assert p4c_no_feedback(params) == p4c_no_feedback(replace(params, latency_ns=0.0))
+    assert p4c_feedback_closed_form(params) < p4c_feedback_closed_form(
+        replace(params, latency_ns=0.0)
     )
 
 
@@ -153,7 +180,7 @@ def test_closed_form_reduces_at_n1(params):
 
 
 def test_closed_form_bounded():
-    for params in BRUTE_FORCE_CASES:
+    for params in BRUTE_FORCE_CASES + LATENCY_CASES:
         assert 0.0 <= p4c_feedback_closed_form(params) <= 1.0
 
 
@@ -180,6 +207,15 @@ def test_enhancement_long_memory_depletion():
 
 def test_enhancement_trivial_n1():
     assert enhancement_factor(make_params(n_write_max=1)) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "field", ["dt_write_ns", "dt_read_ns", "tau_c_us", "latency_ns"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        make_params(**{field: value})
 
 
 def test_enhancement_zero_baseline_rejected():
@@ -358,6 +394,28 @@ def z_score(stats: CoincidenceStats, expected: float) -> float:
                 source_a=SourceParams(gamma0=0.7, p_as=0.15, dark_click_prob=0.02),
                 source_b=SourceParams(gamma0=0.7, p_as=0.15, eta_as=0.5),
                 n_write_max=4,
+            ),
+            200_000,
+        ),
+        (make_params(p_a=0.05, p_b=0.02, gamma0=0.5, n_write_max=8, latency_ns=350.0), 300_000),
+        (
+            ProtocolParams(
+                source_a=SourceParams(gamma0=0.5, chi=0.3, eta_as=0.8),
+                source_b=SourceParams(gamma0=0.4, chi=0.2, eta_as=0.6),
+                n_write_max=5,
+                tau_c_us=4.0,
+                latency_ns=1500.0,
+            ),
+            200_000,
+        ),
+        (
+            ProtocolParams(
+                source_a=SourceParams(gamma0=0.7, p_as=0.15, dark_click_prob=0.02),
+                source_b=SourceParams(gamma0=0.7, p_as=0.15, eta_as=0.5),
+                n_write_max=4,
+                tau_c_us=2.0,
+                decay_model=DecayModel.EXPONENTIAL,
+                latency_ns=800.0,
             ),
             200_000,
         ),

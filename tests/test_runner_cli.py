@@ -1,13 +1,16 @@
 """Tests for scenario orchestration, output emission, and the CLI."""
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from heraldsync.cli import main
 from heraldsync.config import parse_config
-from heraldsync.runner import emit_outputs, run_scenario
+from heraldsync.protocol import TRIAL_RECORD_DTYPE
+from heraldsync.runner import DataTable, _fmt, emit_outputs, run_scenario
 
 
 def run_text(text: str):
@@ -100,6 +103,86 @@ def test_protocol_sim_records_table():
     assert table.columns == ("trial", "herald_a", "herald_b", "hold_a_ns", "hold_b_ns", "four_fold")
     assert len(table.rows) == 2000
     assert summary.metrics["four_fold_count"] > 0
+
+
+RECORD_SOURCES_DENSE = (
+    "protocol.source_a.gamma0 = 0.5\n"
+    "protocol.source_a.p_as = 0.2\n"
+    "protocol.source_a.eta_as = 0.5\n"
+    "protocol.source_a.dark_click_prob = 0.001\n"
+    "protocol.source_b.gamma0 = 0.45\n"
+    "protocol.source_b.p_as = 0.25\n"
+    "protocol.source_b.eta_as = 0.6\n"
+    "protocol.source_b.dark_click_prob = 0.002\n"
+)
+
+
+# SHA-256 of table.csv (and, at zero latency, summary.json) as written by
+# the row-by-row emitter that preceded the columnar one.
+@pytest.mark.parametrize(
+    "text,table_sha,summary_sha",
+    [
+        pytest.param(
+            "seed = 7\ntrials = 70000\n",
+            "5312d097100262ee5289a9729bc5d0283d65ffba3a16d76dd859d6afbcaeefe2",
+            "c82289b238b1fbc2ccf0ee79ddd473a68f8a3da7b6c9f91eff2d531b71b42702",
+            id="default-across-chunk-boundary",
+        ),
+        pytest.param(
+            "seed = 3\ntrials = 1\n",
+            "c6e9b1f5e26909fbaf6a8223d0915207936a91985047bc0d1e1f3348bb0a1686",
+            "c86971d2d47fdfd783dc58e33fe80e12da525622106ec8fabf6986b98f7c8de1",
+            id="single-trial",
+        ),
+        pytest.param(
+            "seed = 11\ntrials = 5000\nprotocol.tau_c_us = 8.0\n"
+            "protocol.decay_model = exponential\n" + RECORD_SOURCES_DENSE,
+            "86a63dcd87c7fe948d424a14ec8953f8d2c40090e7da9e4b8bb5b78a0d5e5939",
+            "daf9154ff7bfa94f562d991aa7d7c2ffaf66ad88dae857621473ee6df3c6efb7",
+            id="dense-dark-exponential",
+        ),
+        pytest.param(
+            "seed = 5\ntrials = 5000\nprotocol.latency_ns = 1500.0\n"
+            "protocol.n_write_max = 4\n"
+            "protocol.source_a.p_as = 0.1\nprotocol.source_b.p_as = 0.2\n"
+            "protocol.source_a.gamma0 = 0.6\nprotocol.source_b.gamma0 = 0.6\n",
+            "767aea7196dabff8184f30842c698029203834910a2548f955edc13f9f6afac7",
+            None,  # the closed form in summary.json now includes the latency
+            id="latency",
+        ),
+    ],
+)
+def test_records_table_golden_bytes(tmp_path, text, table_sha, summary_sha):
+    config = parse_config(
+        "scenario = protocol_sim\nprotocol_sim.record_trials = true\n" + text
+    )
+    emit_outputs(*run_scenario(config), tmp_path)
+    table = (tmp_path / "table.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == table_sha
+    if summary_sha is not None:
+        summary = (tmp_path / "summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == summary_sha
+
+
+def test_record_table_matches_per_cell_formatting(tmp_path):
+    # heralds far beyond any joint key a product of raw values could hold
+    rng = np.random.default_rng(8)
+    choices = np.array([-1, 0, 3, 2**40, 2**62])
+    records = np.zeros(70_000, dtype=TRIAL_RECORD_DTYPE)
+    records["trial"] = np.arange(records.size)
+    records["herald_a"] = rng.choice(choices, records.size)
+    records["herald_b"] = rng.choice(choices, records.size)
+    joint = (records["herald_a"] >= 0) & (records["herald_b"] >= 0)
+    later = np.maximum(records["herald_a"], records["herald_b"]).astype(float)
+    for name, herald in (("hold_a_ns", "herald_a"), ("hold_b_ns", "herald_b")):
+        records[name] = np.where(joint, (later - records[herald]) * 800.0 + 400.0, np.nan)
+    records["four_fold"] = joint & (rng.random(records.size) < 0.5)
+    table = DataTable(records.dtype.names, records)
+    summary, _ = run_text("scenario = enhancement\n")
+    emit_outputs(summary, table, tmp_path)
+    expected = [",".join(table.columns)]
+    expected += [",".join(_fmt(v) for v in row) for row in records.tolist()]
+    assert (tmp_path / "table.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_domain_error_carries_scenario_context():
@@ -222,3 +305,23 @@ def test_cli_trials_override(tmp_path):
     assert doc["metrics"]["trials"] == 1000
     assert doc["metrics"]["p4c_hat"] <= 1.0
     assert not math.isnan(doc["metrics"]["std_err"])
+
+
+@pytest.mark.parametrize(
+    "key,scenario",
+    [
+        ("protocol.tau_c_us", "enhancement"),
+        ("protocol.latency_ns", "protocol_sim"),
+        ("hom.alpha1", "hom_scan"),
+        ("enhancement.tau_c_us_list", "enhancement"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_values(tmp_path, capsys, key, scenario, value):
+    text = f"scenario = {scenario}\n{key} = {value}\n"
+    if key.endswith("_list"):
+        text = f"scenario = {scenario}\n{key} = 6.0, {value}\n"
+    cfg = write_config(tmp_path, text)
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
