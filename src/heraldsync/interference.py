@@ -101,10 +101,9 @@ class HOMResult:
 
 
 def _two_photon_rates(alpha1, alpha2, p_i1, p_i2):
-    if alpha1 < 0.0 or alpha2 < 0.0:
-        raise ValueError("alpha parameters must be nonnegative")
-    if p_i1 < 0.0 or p_i2 < 0.0:
-        raise ValueError("single-photon probabilities must be nonnegative")
+    for name, value in (("alpha1", alpha1), ("alpha2", alpha2), ("p_i1", p_i1), ("p_i2", p_i2)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
     p2_1 = alpha1 * p_i1 * p_i1 / 2.0
     p2_2 = alpha2 * p_i2 * p_i2 / 2.0
     return p2_1, p2_2

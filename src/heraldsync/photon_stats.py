@@ -194,8 +194,12 @@ class SourceParams:
             _check_unit_interval("p_as", self.p_as)
         if not 0.0 <= self.dark_click_prob < 1.0:
             raise ValueError(f"dark_click_prob must lie in [0, 1), got {self.dark_click_prob}")
-        if self.alpha_override is not None and self.alpha_override < 0.0:
-            raise ValueError("alpha_override must be nonnegative")
+        if self.alpha_override is not None and not (
+            math.isfinite(self.alpha_override) and self.alpha_override >= 0.0
+        ):
+            raise ValueError(
+                f"alpha_override must be nonnegative and finite, got {self.alpha_override}"
+            )
         if self.p_as is None and self.chi is None:
             raise ValueError("one of p_as or chi is required")
         if self.p_as is None and self.eta_as is None:

@@ -364,67 +364,84 @@ TRIAL_RECORD_DTYPE = np.dtype(
 )
 
 
-def _herald_attempts(u: np.ndarray, p: float, n_max: int) -> np.ndarray:
-    # Inverse-CDF draw of the first successful attempt; >= n_max means the
-    # write budget ran out.
+def _heralds(rng: np.random.Generator, p: float, n_max: int, m: int):
+    """Sorted heralded trials among ``m`` and the attempt index of each.
+
+    A trial heralds within ``n_max`` attempts with P = 1 - (1-p)**n_max, so
+    only heralded trials cost draws: Geometric(P) gaps between them, and
+    the attempt index by inversion of the truncated geometric law.  The
+    arithmetic runs in place because a dense source heralds in most trials.
+    """
     if p <= 0.0:
-        return np.full(u.shape, n_max, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if p >= 1.0:
-        return np.zeros(u.shape, dtype=np.int64)
-    idx = np.floor(np.log1p(-u) / math.log1p(-p))
-    return np.minimum(idx, float(n_max)).astype(np.int64)
+        return np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    log_q = math.log1p(-p)
+    big_p = -math.expm1(n_max * log_q)
+    parts, last = [], -1
+    while last < m - 1:
+        rest = (m - 1 - last) * big_p
+        # A gap past the chunk is cut to m + 1, so the sums cannot overflow.
+        gaps = np.minimum(rng.geometric(big_p, int(rest + 4.0 * math.sqrt(rest)) + 16), m + 1)
+        parts.append(np.add(np.cumsum(gaps, out=gaps), last, out=gaps))
+        last = int(gaps[-1])
+    positions = np.concatenate(parts)
+    positions = positions[: np.searchsorted(positions, m)]
+    u = rng.random(positions.size)
+    attempts = np.divide(np.log1p(np.multiply(u, -big_p, out=u), out=u), log_q, out=u)
+    return positions, np.minimum(attempts, n_max - 1, out=attempts).astype(np.int64)
 
 
-def _campaign_chunks(
-    params: ProtocolParams, n_trials: int, seed: int
-) -> Iterator[dict[str, np.ndarray]]:
-    """Yield per-chunk trial arrays; each chunk owns the substream (seed, chunk)."""
-    pa = params.source_a.herald_prob
-    pb = params.source_b.herald_prob
-    n_max = params.n_write_max
-    shape_a = params.source_a.heralded_shape() if pa > 0.0 else None
-    shape_b = params.source_b.heralded_shape() if pb > 0.0 else None
+def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterator[tuple]:
+    """Yield ``(offset, size, heralds, joint, holds, four_fold)`` per chunk.
+
+    Chunk c draws from the substream (seed, c).  ``heralds`` holds each
+    node's ``(positions, attempts)``; the rest covers the joint heralds.
+    """
+    sources = (params.source_a, params.source_b)
     overhead = 2.0 * params.latency_ns + params.dt_read_ns
-
-    n_chunks = (n_trials + _CHUNK_SIZE - 1) // _CHUNK_SIZE
-    for c in range(n_chunks):
+    for c in range((n_trials + _CHUNK_SIZE - 1) // _CHUNK_SIZE):
         m = min(_CHUNK_SIZE, n_trials - c * _CHUNK_SIZE)
         rng = np.random.default_rng([seed, c])
-        u = rng.random((2, m))
-        ia = _herald_attempts(u[0], pa, n_max)
-        ib = _herald_attempts(u[1], pb, n_max)
-        joint = (ia < n_max) & (ib < n_max)
-        idx = np.nonzero(joint)[0]
+        heralds = [_heralds(rng, s.herald_prob, params.n_write_max, m) for s in sources]
+        (pos_a, att_a), (pos_b, att_b) = heralds
+        both = np.zeros(m, dtype=np.int8)
+        both[pos_a] = 1
+        both[pos_b] += 1
+        in_b, in_a = both[pos_a] == 2, both[pos_b] == 2
+        joint, attempts = pos_a[in_b], (att_a[in_b], att_b[in_a])
+        later = np.maximum(*attempts)
+        holds = tuple((later - i) * params.dt_write_ns + overhead for i in attempts)
+        four_fold = np.ones(joint.size, dtype=bool)
+        for source, hold in zip(sources, holds):
+            if not joint.size:
+                break  # a source that never heralds has no heralded shape
+            # Draw 0 picks the stored excitation number, draws 1 and 2 its survival.
+            shape = source.heralded_shape()
+            draws = rng.random((3, joint.size))
+            gamma = params.gamma_at(source, hold)
+            four_fold &= ((draws[1] < gamma) & (draws[0] >= shape[0])) | (
+                (draws[2] < gamma) & (draws[0] >= shape[0] + shape[1])
+            )
+        yield c * _CHUNK_SIZE, m, heralds, joint, holds, four_fold
 
-        hold_a = np.full(m, np.nan)
-        hold_b = np.full(m, np.nan)
-        stokes = np.zeros((2, m), dtype=np.int64)
-        if idx.size:
-            later = np.maximum(ia[idx], ib[idx]).astype(float)
-            hold_a[idx] = (later - ia[idx]) * params.dt_write_ns + overhead
-            hold_b[idx] = (later - ib[idx]) * params.dt_write_ns + overhead
-            for node, shape, source, holds in (
-                (0, shape_a, params.source_a, hold_a),
-                (1, shape_b, params.source_b, hold_b),
-            ):
-                draws = rng.random((3, idx.size))
-                n_exc = (draws[0] >= shape[0]).astype(np.int64) + (
-                    draws[0] >= shape[0] + shape[1]
-                )
-                gamma = params.gamma_at(source, holds[idx])
-                survivors = ((draws[1] < gamma) & (n_exc >= 1)).astype(np.int64) + (
-                    (draws[2] < gamma) & (n_exc >= 2)
-                )
-                stokes[node, idx] = survivors
 
-        yield {
-            "offset": np.int64(c * _CHUNK_SIZE),
-            "herald_a": np.where(ia < n_max, ia, -1),
-            "herald_b": np.where(ib < n_max, ib, -1),
-            "hold_a_ns": hold_a,
-            "hold_b_ns": hold_b,
-            "four_fold": (stokes[0] > 0) & (stokes[1] > 0),
-        }
+def _campaign(params: ProtocolParams, n_trials: int, seed: int, record: bool):
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    records = np.empty(n_trials if record else 0, dtype=TRIAL_RECORD_DTYPE)
+    records[:] = (0, -1, -1, np.nan, np.nan, False)
+    records["trial"] = np.arange(records.size)
+    count = 0
+    for lo, m, heralds, joint, holds, four_fold in _campaign_chunks(params, n_trials, seed):
+        count += int(np.count_nonzero(four_fold))
+        if record:
+            block = records[lo : lo + m]
+            for tag, (positions, attempts), hold in zip("ab", heralds, holds):
+                block[f"herald_{tag}"][positions] = attempts
+                block[f"hold_{tag}_ns"][joint] = hold
+            block["four_fold"][joint] = four_fold
+    return CoincidenceStats.from_counts(n_trials, count), records
 
 
 def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> CoincidenceStats:
@@ -434,31 +451,14 @@ def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> Coinc
     (seed, chunk index), and counts are summed; results are identical for
     a given (params, n_trials, seed) no matter how chunks are scheduled.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    count = 0
-    for chunk in _campaign_chunks(params, n_trials, seed):
-        count += int(chunk["four_fold"].sum())
-    return CoincidenceStats.from_counts(n_trials, count)
+    return _campaign(params, n_trials, seed, record=False)[0]
 
 
 def simulate_campaign_records(
     params: ProtocolParams, n_trials: int, seed: int
 ) -> tuple[CoincidenceStats, np.ndarray]:
     """Like :func:`simulate_campaign` but also return per-trial records."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    records = np.empty(n_trials, dtype=TRIAL_RECORD_DTYPE)
-    count = 0
-    for chunk in _campaign_chunks(params, n_trials, seed):
-        lo = int(chunk["offset"])
-        hi = lo + chunk["herald_a"].shape[0]
-        block = records[lo:hi]
-        block["trial"] = np.arange(lo, hi)
-        for name in ("herald_a", "herald_b", "hold_a_ns", "hold_b_ns", "four_fold"):
-            block[name] = chunk[name]
-        count += int(chunk["four_fold"].sum())
-    return CoincidenceStats.from_counts(n_trials, count), records
+    return _campaign(params, n_trials, seed, record=True)
 
 
 def default_params() -> ProtocolParams:

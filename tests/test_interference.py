@@ -135,6 +135,15 @@ def test_hom_zero_plateau_rejected():
         hom_coincidence(0.0, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
+@pytest.mark.parametrize("position,name", enumerate(["alpha1", "alpha2", "p_i1", "p_i2"]))
+def test_hom_names_bad_source_parameter(position, name, value):
+    args = [0.12, 0.17, 1.0, 1.0]
+    args[position] = value
+    with pytest.raises(ValueError, match=name):
+        hom_coincidence(*args)
+
+
 def test_hom_result_invariant():
     with pytest.raises(ValueError):
         HOMResult(c_plat=0.1, c_dip=0.2, visibility=-1.0)

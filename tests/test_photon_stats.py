@@ -284,6 +284,12 @@ def test_source_alpha_override_wins():
     assert src.alpha_at(0.08) == 0.17
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_source_rejects_non_finite_alpha_override(value):
+    with pytest.raises(ValueError, match="alpha_override"):
+        SourceParams(gamma0=0.1, p_as=0.01, alpha_override=value)
+
+
 def test_source_dark_click_changes_rates():
     src = SourceParams(gamma0=0.08, p_as=2.0e-3, dark_click_prob=1e-3)
     assert src.herald_prob == pytest.approx(2.0e-3 + 1e-3 - 2.0e-6, abs=1e-15)

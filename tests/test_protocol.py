@@ -5,9 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sps
 
 from heraldsync.photon_stats import SourceParams
 from heraldsync.protocol import (
+    _CHUNK_SIZE,
     CoincidenceStats,
     DecayModel,
     NodeState,
@@ -349,27 +353,125 @@ def test_campaign_deterministic():
     assert c != a  # different stream actually moves the count
 
 
+def check_records(params, stats, records, n_trials):
+    """Invariants every record array holds, whatever the parameters."""
+    assert records.shape == (n_trials,)
+    assert int(records["four_fold"].sum()) == stats.four_fold_count
+    assert np.array_equal(records["trial"], np.arange(n_trials))
+    for column in ("herald_a", "herald_b"):
+        assert np.all((records[column] >= -1) & (records[column] < params.n_write_max))
+    heralded = (records["herald_a"] >= 0) & (records["herald_b"] >= 0)
+    assert np.all(records["four_fold"] <= heralded)
+    assert np.all(np.isnan(records["hold_a_ns"]) == ~heralded)
+    assert np.all(np.isnan(records["hold_b_ns"]) == ~heralded)
+    overhead = 2.0 * params.latency_ns + params.dt_read_ns
+    assert np.all(records["hold_a_ns"][heralded] >= overhead - 1e-9)
+    assert np.all(records["hold_b_ns"][heralded] >= overhead - 1e-9)
+    assert np.allclose(
+        np.minimum(records["hold_a_ns"], records["hold_b_ns"])[heralded], overhead
+    )
+    gap = np.abs(records["herald_a"] - records["herald_b"]) * params.dt_write_ns
+    spread = np.abs(records["hold_a_ns"] - records["hold_b_ns"])
+    assert np.allclose(spread[heralded], gap[heralded])
+
+
 def test_campaign_records_consistent():
     params = make_params(p_a=0.1, p_b=0.2, gamma0=0.6, n_write_max=4, latency_ns=50.0)
     stats_plain = simulate_campaign(params, 70_000, seed=5)
     stats, records = simulate_campaign_records(params, 70_000, seed=5)
     assert stats == stats_plain
-    assert records.shape == (70_000,)
-    assert int(records["four_fold"].sum()) == stats.four_fold_count
-    assert np.array_equal(records["trial"], np.arange(70_000))
-
-    heralded = (records["herald_a"] >= 0) & (records["herald_b"] >= 0)
-    assert np.all(records["four_fold"] <= heralded)
-    assert np.all(np.isnan(records["hold_a_ns"]) == ~heralded)
-    overhead = 2.0 * params.latency_ns + params.dt_read_ns
-    assert np.all(records["hold_a_ns"][heralded] >= overhead - 1e-9)
-    gap = np.abs(records["herald_a"] - records["herald_b"]) * params.dt_write_ns
-    spread = np.abs(records["hold_a_ns"] - records["hold_b_ns"])
-    assert np.allclose(spread[heralded], gap[heralded])
+    check_records(params, stats, records, 70_000)
 
     # byte-exact reproducibility
     _, records2 = simulate_campaign_records(params, 70_000, seed=5)
     assert records.tobytes() == records2.tobytes()
+
+
+# three full chunks and a partial one
+HERALD_TRIALS = 3 * _CHUNK_SIZE + 1234
+
+DENSE_DARK = ProtocolParams(
+    source_a=SourceParams(gamma0=0.5, p_as=0.2, eta_as=0.5, dark_click_prob=1e-3),
+    source_b=SourceParams(gamma0=0.45, p_as=0.25, eta_as=0.6, dark_click_prob=2e-3),
+    tau_c_us=8.0,
+)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(default_params(), id="sparse"),
+        pytest.param(DENSE_DARK, id="dense-dark"),
+        pytest.param(make_params(p_a=0.3, p_b=0.05, n_write_max=1), id="n1"),
+    ],
+)
+def test_herald_sampler_matches_binomial_and_truncated_geometric(params):
+    # per node: herald count ~ Binomial(n, 1-(1-p)^N), attempt index ~ the
+    # geometric law truncated to N attempts; fixed seed, 1e-3 level
+    stats, records = simulate_campaign_records(params, HERALD_TRIALS, seed=77)
+    check_records(params, stats, records, HERALD_TRIALS)
+    n_max = params.n_write_max
+    for source, column in ((params.source_a, "herald_a"), (params.source_b, "herald_b")):
+        p = source.herald_prob
+        big_p = -math.expm1(n_max * math.log1p(-p))
+        attempts = records[column][records[column] >= 0]
+        k = attempts.size
+        tail = min(sps.binom.cdf(k, HERALD_TRIALS, big_p), sps.binom.sf(k - 1, HERALD_TRIALS, big_p))
+        assert 2.0 * tail > 1e-3, (column, k, HERALD_TRIALS * big_p)
+        if n_max > 1:
+            law = p * (1.0 - p) ** np.arange(n_max) / big_p
+            observed = np.bincount(attempts, minlength=n_max)
+            assert sps.chisquare(observed, k * law / law.sum()).pvalue > 1e-3, column
+
+
+def test_herald_sampler_extremes():
+    # p = 1 heralds every trial at attempt 0, p = 0 (and a p too small for
+    # any chunk) never heralds; nothing is jointly heralded
+    for never in (0.0, 1e-300):
+        params = make_params(p_a=1.0, p_b=never)
+        stats, records = simulate_campaign_records(params, HERALD_TRIALS, seed=3)
+        assert np.all(records["herald_a"] == 0)
+        assert np.all(records["herald_b"] == -1)
+        assert np.all(np.isnan(records["hold_a_ns"]) & np.isnan(records["hold_b_ns"]))
+        assert stats.four_fold_count == 0 and not records["four_fold"].any()
+    certain = make_params(p_a=1.0, p_b=1.0, gamma0=1.0, tau_c_us=1e9)
+    assert simulate_campaign(certain, HERALD_TRIALS, seed=3).four_fold_count == HERALD_TRIALS
+
+
+herald_probs = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e),
+)
+
+
+@given(
+    p_a=herald_probs,
+    p_b=herald_probs,
+    n_write_max=st.integers(min_value=1, max_value=30),
+    latency_ns=st.floats(min_value=0.0, max_value=3000.0),
+    decay_model=st.sampled_from(list(DecayModel)),
+    n_trials=st.integers(min_value=1, max_value=2).flatmap(
+        lambda k: st.integers(k * _CHUNK_SIZE - 3, k * _CHUNK_SIZE + 3)
+    ),
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_campaign_count_and_records_agree(
+    p_a, p_b, n_write_max, latency_ns, decay_model, n_trials, seed
+):
+    params = make_params(
+        p_a=p_a,
+        p_b=p_b,
+        gamma0=0.7,
+        n_write_max=n_write_max,
+        latency_ns=latency_ns,
+        decay_model=decay_model,
+        tau_c_us=3.0,
+    )
+    stats, records = simulate_campaign_records(params, n_trials, seed)
+    assert simulate_campaign(params, n_trials, seed) == stats
+    check_records(params, stats, records, n_trials)
+    assert simulate_campaign_records(params, n_trials, seed)[1].tobytes() == records.tobytes()
 
 
 def z_score(stats: CoincidenceStats, expected: float) -> float:

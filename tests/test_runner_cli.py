@@ -117,14 +117,14 @@ RECORD_SOURCES_DENSE = (
 )
 
 
-# SHA-256 of table.csv (and, at zero latency, summary.json) as written by
-# the row-by-row emitter that preceded the columnar one.
+# SHA-256 of table.csv and summary.json on the skip-sampled herald stream;
+# each table.csv equals the per-cell _fmt rendering of its records.
 @pytest.mark.parametrize(
     "text,table_sha,summary_sha",
     [
         pytest.param(
             "seed = 7\ntrials = 70000\n",
-            "5312d097100262ee5289a9729bc5d0283d65ffba3a16d76dd859d6afbcaeefe2",
+            "9a29eded4a01841730c20d4e9bdfb5fece00a6a12ab434a181e5054644006472",
             "c82289b238b1fbc2ccf0ee79ddd473a68f8a3da7b6c9f91eff2d531b71b42702",
             id="default-across-chunk-boundary",
         ),
@@ -137,8 +137,8 @@ RECORD_SOURCES_DENSE = (
         pytest.param(
             "seed = 11\ntrials = 5000\nprotocol.tau_c_us = 8.0\n"
             "protocol.decay_model = exponential\n" + RECORD_SOURCES_DENSE,
-            "86a63dcd87c7fe948d424a14ec8953f8d2c40090e7da9e4b8bb5b78a0d5e5939",
-            "daf9154ff7bfa94f562d991aa7d7c2ffaf66ad88dae857621473ee6df3c6efb7",
+            "40af2db72a4f13b5c90a626a168b04cd1e7a9561eb817666ef19bb0caa2f061f",
+            "5223872e8838dedfd3d511104a0689075d1c2e0106b8aede081ab75370648f53",
             id="dense-dark-exponential",
         ),
         pytest.param(
@@ -146,8 +146,8 @@ RECORD_SOURCES_DENSE = (
             "protocol.n_write_max = 4\n"
             "protocol.source_a.p_as = 0.1\nprotocol.source_b.p_as = 0.2\n"
             "protocol.source_a.gamma0 = 0.6\nprotocol.source_b.gamma0 = 0.6\n",
-            "767aea7196dabff8184f30842c698029203834910a2548f955edc13f9f6afac7",
-            None,  # the closed form in summary.json now includes the latency
+            "a454acd4c47e90167fbf9d2fbadee391158b6d9b2a352266ed9996fcc164a511",
+            "d2c7569c66fa7c953aac6a8b9bbc5bf81e54d2096cd2a0a6bba340f6d8c627b3",
             id="latency",
         ),
     ],
@@ -159,9 +159,8 @@ def test_records_table_golden_bytes(tmp_path, text, table_sha, summary_sha):
     emit_outputs(*run_scenario(config), tmp_path)
     table = (tmp_path / "table.csv").read_bytes()
     assert hashlib.sha256(table).hexdigest() == table_sha
-    if summary_sha is not None:
-        summary = (tmp_path / "summary.json").read_bytes()
-        assert hashlib.sha256(summary).hexdigest() == summary_sha
+    summary = (tmp_path / "summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == summary_sha
 
 
 def test_record_table_matches_per_cell_formatting(tmp_path):
