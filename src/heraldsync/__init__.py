@@ -1,96 +1,26 @@
 """Two-node synchronized heralded single-photon sources.
 
-Analytics and discrete-event simulation for a pair of memory-backed
+Analytics and Monte Carlo simulation for a pair of memory-backed
 heralded photon sources with feedback synchronization: photon-number
 statistics, the coincidence-enhancement closed forms, Hong-Ou-Mandel
-interference, and CHSH Bell estimation.
+interference, and CHSH Bell estimation.  Each module states its public
+names in its own ``__all__``; the package re-exports all of them.
 """
 
 __version__ = "0.1.0"
 
-from .photon_stats import (
-    FockDistribution,
-    SourceParams,
-    alpha_of,
-    emission_distribution,
-    herald_probability,
-    heralded_excitation_distribution,
-    retrieve,
-    solve_chi_for_herald,
-)
-from .protocol import (
-    CoincidenceStats,
-    DecayModel,
-    ProtocolParams,
-    TrialOutcome,
-    default_params,
-    enhancement_factor,
-    memory_retrieval_efficiency,
-    p4c_feedback_closed_form,
-    p4c_no_feedback,
-    run_protocol_trial,
-    simulate_campaign,
-    simulate_campaign_records,
-)
-from .interference import (
-    AnalyzerSettings,
-    CHSHResult,
-    EffectiveTwoPhotonState,
-    HOMResult,
-    ScanDomain,
-    TemporalMode,
-    chsh_from_correlations,
-    correlation,
-    effective_state,
-    hom_coincidence,
-    hom_scan,
-    mode_overlap,
-    predicted_S,
-    sample_chsh_experiment,
-)
-from .config import ConfigError, RunConfig, Scenario, parse_config
-from .runner import emit_outputs, run_scenario
+from . import config, interference, photon_stats, protocol, runner
+from .config import *  # noqa: F403
+from .interference import *  # noqa: F403
+from .photon_stats import *  # noqa: F403
+from .protocol import *  # noqa: F403
+from .runner import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "FockDistribution",
-    "SourceParams",
-    "alpha_of",
-    "emission_distribution",
-    "herald_probability",
-    "heralded_excitation_distribution",
-    "retrieve",
-    "solve_chi_for_herald",
-    "CoincidenceStats",
-    "DecayModel",
-    "ProtocolParams",
-    "TrialOutcome",
-    "default_params",
-    "enhancement_factor",
-    "memory_retrieval_efficiency",
-    "p4c_feedback_closed_form",
-    "p4c_no_feedback",
-    "run_protocol_trial",
-    "simulate_campaign",
-    "simulate_campaign_records",
-    "AnalyzerSettings",
-    "CHSHResult",
-    "EffectiveTwoPhotonState",
-    "HOMResult",
-    "ScanDomain",
-    "TemporalMode",
-    "chsh_from_correlations",
-    "correlation",
-    "effective_state",
-    "hom_coincidence",
-    "hom_scan",
-    "mode_overlap",
-    "predicted_S",
-    "sample_chsh_experiment",
-    "ConfigError",
-    "RunConfig",
-    "Scenario",
-    "parse_config",
-    "emit_outputs",
-    "run_scenario",
+    *photon_stats.__all__,
+    *protocol.__all__,
+    *interference.__all__,
+    *config.__all__,
+    *runner.__all__,
 ]

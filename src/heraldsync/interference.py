@@ -10,7 +10,7 @@ post-selected polarization-entangled state with HH/VV product noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -109,6 +109,21 @@ def _two_photon_rates(alpha1, alpha2, p_i1, p_i2):
     return p2_1, p2_2
 
 
+def _hom_levels(alpha1, alpha2, p_i1, p_i2, overlap):
+    """Plateau and the coincidence level at ``overlap`` (scalar or array).
+
+    The plateau is the non-interfering rate p1*p2/2 plus half of each
+    source's two-photon rate; interference removes ``overlap`` of the
+    p1*p2/2 term.
+    """
+    p2_1, p2_2 = _two_photon_rates(alpha1, alpha2, p_i1, p_i2)
+    interfering = p_i1 * p_i2 / 2.0
+    c_plat = interfering + (p2_1 + p2_2) / 2.0
+    if c_plat <= 0.0:
+        raise ValueError("plateau coincidence rate is zero; visibility undefined")
+    return c_plat, c_plat - overlap * interfering
+
+
 def hom_coincidence(
     alpha1: float,
     alpha2: float,
@@ -118,19 +133,13 @@ def hom_coincidence(
 ) -> HOMResult:
     """Coincidence levels of the HOM dip for two imperfect sources.
 
-    The plateau is the non-interfering rate p1*p2/2 plus half of each
-    source's two-photon rate; interference removes ``overlap`` of the
-    p1*p2/2 term at the dip center.  For equal sources at full overlap the
-    visibility is 1/(1 + alpha) exactly.
+    Interference removes ``overlap`` of the p1*p2/2 term from the plateau
+    at the dip center (see :func:`_hom_levels`).  For equal sources at
+    full overlap the visibility is 1/(1 + alpha) exactly.
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must lie in [0, 1], got {overlap}")
-    p2_1, p2_2 = _two_photon_rates(alpha1, alpha2, p_i1, p_i2)
-    interfering = p_i1 * p_i2 / 2.0
-    c_plat = interfering + (p2_1 + p2_2) / 2.0
-    if c_plat <= 0.0:
-        raise ValueError("plateau coincidence rate is zero; visibility undefined")
-    c_dip = c_plat - overlap * interfering
+    c_plat, c_dip = _hom_levels(alpha1, alpha2, p_i1, p_i2, overlap)
     return HOMResult(c_plat=c_plat, c_dip=c_dip, visibility=(c_plat - c_dip) / c_plat)
 
 
@@ -179,10 +188,7 @@ def hom_scan(
         dip_fwhm = TIME_BANDWIDTH_PRODUCT / coherence_fwhm_ns * 1e3
     else:
         raise ValueError(f"unknown scan domain {domain!r}")
-    p2_1, p2_2 = _two_photon_rates(alpha1, alpha2, p_i1, p_i2)
-    interfering = p_i1 * p_i2 / 2.0
-    plateau = interfering + (p2_1 + p2_2) / 2.0
-    coincidence = plateau - overlaps * interfering
+    plateau, coincidence = _hom_levels(alpha1, alpha2, p_i1, p_i2, overlaps)
     return HOMScanResult(
         domain=domain,
         abscissa=grid_arr,
@@ -310,8 +316,8 @@ def predicted_S(alpha_bar: float) -> float:
     anti-correlation ``alpha_bar``:
     S = (2*sqrt(2) - sqrt(2)*alpha_bar) / (1 + alpha_bar).
     """
-    if alpha_bar < 0.0:
-        raise ValueError(f"alpha_bar must be nonnegative, got {alpha_bar}")
+    if not (math.isfinite(alpha_bar) and alpha_bar >= 0.0):
+        raise ValueError(f"alpha_bar must be nonnegative and finite, got {alpha_bar}")
     root2 = math.sqrt(2.0)
     return (2.0 * root2 - root2 * alpha_bar) / (1.0 + alpha_bar)
 
@@ -371,11 +377,4 @@ def sample_chsh_experiment(
         sigma_e.append(math.sqrt(max(1.0 - e * e, 0.0) / n))
         counts.append((n_pp, n_pm, n_mp, n_mm))
     result = chsh_from_correlations(es[0], es[1], es[2], es[3], sigmas=sigma_e)
-    return CHSHResult(
-        e=result.e,
-        sigma_e=result.sigma_e,
-        s=result.s,
-        sigma_s=result.sigma_s,
-        n_sigma=result.n_sigma,
-        counts=tuple(counts),
-    )
+    return replace(result, counts=tuple(counts))

@@ -3,19 +3,20 @@
 Each node fires write pulses on a shared attempt clock until its herald
 detector clicks, then holds the stored excitation and exchanges ready
 messages with the peer; once both are ready the nodes read out
-simultaneously.  The module provides the event-driven trial simulator,
-an exact closed-form evaluator of the four-fold coincidence probability
-under feedback, the no-feedback baseline, and the enhancement factor.
+simultaneously.  The module provides an exact closed-form evaluator of
+the four-fold coincidence probability under feedback, the no-feedback
+baseline, the enhancement factor, a straight-line single-trial reference
+model and the vectorized Monte Carlo campaign.
 
-Closed forms and simulator describe the same stochastic process: the
+Closed forms and simulators describe the same stochastic process: the
 per-node read success at hold time t is sum_n q[n]*(1-(1-gamma(t))**n)
 over the heralded excitation shape q, which reduces to gamma(t) for a
-single-excitation memory.
+single-excitation memory.  All three take hold times from :func:`_holds`;
+the trial and the campaign share the retrieval sampler :func:`_retrieved`.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,8 +29,6 @@ from .photon_stats import FockDistribution, SourceParams
 __all__ = [
     "DecayModel",
     "ProtocolParams",
-    "Phase",
-    "NodeState",
     "TrialOutcome",
     "CoincidenceStats",
     "memory_retrieval_efficiency",
@@ -65,18 +64,21 @@ def memory_retrieval_efficiency(
     GAUSSIAN_HALF: gamma0*exp(-t**2/(2*tau_c**2)); EXPONENTIAL:
     gamma0*exp(-t/tau_c).  Accepts scalar or array hold times.
     """
-    if tau_c_us <= 0.0:
-        raise ValueError(f"tau_c_us must be positive, got {tau_c_us}")
+    if not (math.isfinite(tau_c_us) and tau_c_us > 0.0):
+        raise ValueError(f"tau_c_us must be positive and finite, got {tau_c_us}")
+    if not math.isfinite(gamma0):
+        raise ValueError(f"gamma0 must be finite, got {gamma0}")
     t_us = np.asarray(hold_time_ns, dtype=float) * 1e-3
-    if np.any(t_us < 0.0):
-        raise ValueError("hold_time_ns must be nonnegative")
+    # NaN fails both comparisons.
+    if not ((t_us >= 0.0) & (t_us < math.inf)).all():
+        raise ValueError("hold_time_ns must be nonnegative and finite")
     if model is DecayModel.GAUSSIAN_HALF:
         out = gamma0 * np.exp(-(t_us * t_us) / (2.0 * tau_c_us * tau_c_us))
     elif model is DecayModel.EXPONENTIAL:
         out = gamma0 * np.exp(-t_us / tau_c_us)
     else:
         raise ValueError(f"unknown decay model {model!r}")
-    return float(out) if np.ndim(hold_time_ns) == 0 else out
+    return float(out) if t_us.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,18 @@ class ProtocolParams:
 def _read_success(shape: FockDistribution, gamma):
     # P(>=1 photon retrieved) for a memory holding the shape q.
     return shape[1] * gamma + shape[2] * (2.0 - gamma) * gamma
+
+
+def _holds(params: ProtocolParams, attempt_a, attempt_b) -> tuple:
+    """Hold times (ns) of both memories for heralds at these attempts.
+
+    The common read fires a message round-trip plus ``dt_read_ns`` after
+    the later herald, so each memory holds for its gap to the later
+    herald plus that rendezvous overhead.  Works on scalars and arrays.
+    """
+    later = np.maximum(attempt_a, attempt_b)
+    overhead = 2.0 * params.latency_ns + params.dt_read_ns
+    return tuple((later - i) * params.dt_write_ns + overhead for i in (attempt_a, attempt_b))
 
 
 def p4c_no_feedback(params: ProtocolParams) -> float:
@@ -156,13 +170,12 @@ def p4c_feedback_closed_form(params: ProtocolParams) -> float:
     if pa == 0.0 or pb == 0.0:
         return 0.0
     n = params.n_write_max
-    overhead = 2.0 * params.latency_ns + params.dt_read_ns
     qa, qb = 1.0 - pa, 1.0 - pb
 
     shape_a = params.source_a.heralded_shape()
     shape_b = params.source_b.heralded_shape()
     d = np.arange(n, dtype=float)
-    t_wait = d * params.dt_write_ns + overhead
+    t_wait = _holds(params, 0, d)[0]  # the earlier node's hold at gap d
     ra_wait = _read_success(shape_a, params.gamma_at(params.source_a, t_wait))
     rb_wait = _read_success(shape_b, params.gamma_at(params.source_b, t_wait))
     ra0 = float(ra_wait[0])  # hold = overhead
@@ -187,57 +200,13 @@ def enhancement_factor(params: ProtocolParams) -> float:
     return p4c_feedback_closed_form(params) / baseline
 
 
-class Phase(Enum):
-    WRITING = "writing"
-    HOLDING = "holding"
-    READING = "reading"
-    DONE = "done"
-
-
-@dataclass
-class NodeState:
-    """State of one node inside a trial.
-
-    Legal transitions: WRITING -> WRITING (next attempt), WRITING ->
-    HOLDING (herald), HOLDING -> READING, READING -> DONE, and WRITING ->
-    DONE (attempt budget exhausted).
-    """
-
-    phase: Phase = Phase.WRITING
-    attempt_index: int = 0
-    herald_time_ns: float | None = None
-    succeeded: bool | None = None
-
-    def next_attempt(self) -> None:
-        if self.phase is not Phase.WRITING:
-            raise RuntimeError(f"cannot continue writing from {self.phase}")
-        self.attempt_index += 1
-
-    def to_holding(self, herald_time_ns: float) -> None:
-        if self.phase is not Phase.WRITING:
-            raise RuntimeError(f"illegal transition {self.phase} -> HOLDING")
-        self.phase = Phase.HOLDING
-        self.herald_time_ns = herald_time_ns
-
-    def to_reading(self) -> None:
-        if self.phase is not Phase.HOLDING:
-            raise RuntimeError(f"illegal transition {self.phase} -> READING")
-        self.phase = Phase.READING
-
-    def to_done(self, succeeded: bool) -> None:
-        if self.phase is Phase.WRITING and not succeeded:
-            pass  # exhausted the write budget
-        elif self.phase is Phase.READING:
-            pass
-        else:
-            raise RuntimeError(f"illegal transition {self.phase} -> DONE")
-        self.phase = Phase.DONE
-        self.succeeded = succeeded
-
-
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Result of one synchronization trial."""
+    """Result of one synchronization trial.
+
+    ``stokes_a`` and ``stokes_b`` count the photons retrieved from each
+    memory (0-2); hold times are None unless both nodes heralded.
+    """
 
     herald_a: int | None
     herald_b: int | None
@@ -248,84 +217,44 @@ class TrialOutcome:
     four_fold: bool
 
 
-_EV_WRITE, _EV_MESSAGE, _EV_READ = 0, 1, 2
+def _retrieved(shape: FockDistribution, gamma, draws):
+    """Photons read out of a memory holding the heralded shape ``shape``.
 
-
-def _sample_retrieval(shape: FockDistribution, gamma: float, rng: np.random.Generator) -> int:
-    # Draw the stored excitation number, then per-excitation survival.
-    u = rng.random()
-    n = int(u >= shape[0]) + int(u >= shape[0] + shape[1])
-    survivors = 0
-    for _ in range(n):
-        if rng.random() < gamma:
-            survivors += 1
-    return survivors
+    ``draws`` holds three uniforms (per trial, along the first axis):
+    draw 0 picks the stored excitation number, draws 1 and 2 decide
+    whether the first and second excitation survive retrieval at
+    efficiency ``gamma``.  Works on scalars and arrays.
+    """
+    first = (draws[1] < gamma) & (draws[0] >= shape[0])
+    second = (draws[2] < gamma) & (draws[0] >= shape[0] + shape[1])
+    return np.add(first, second, dtype=np.int8)
 
 
 def run_protocol_trial(params: ProtocolParams, rng: np.random.Generator) -> TrialOutcome:
     """Simulate one trial of the two-node protocol on a shared clock.
 
-    Both nodes attempt writes at times k*dt_write (k < n_write_max) and
-    stop on their first herald.  Ready messages travel for ``latency_ns``;
-    the common read fires a message round-trip plus ``dt_read_ns`` after
-    the later herald, so the earlier node's memory decays for the attempt
-    gap plus that rendezvous overhead.  Failure to herald on either side
-    is a valid (non-coincident) outcome.
+    Both nodes attempt writes at times k*dt_write (k < n_write_max), node
+    A drawing before node B at each tick, and stop on their first herald.
+    Ready messages travel for ``latency_ns``; the common read fires a
+    message round-trip plus ``dt_read_ns`` after the later herald, so the
+    earlier node's memory decays for the attempt gap plus that rendezvous
+    overhead.  Failure to herald on either side is a valid
+    (non-coincident) outcome.
     """
-    nodes = (NodeState(), NodeState())
     sources = (params.source_a, params.source_b)
-    p_click = (sources[0].herald_prob, sources[1].herald_prob)
-    msg_arrival: list[float | None] = [None, None]  # peer-ready arrival per node
-
-    events: list[tuple[float, int, int, int]] = []
-    seq = 0
-
-    def push(time_ns: float, kind: int, node_idx: int) -> None:
-        nonlocal seq
-        heapq.heappush(events, (time_ns, seq, kind, node_idx))
-        seq += 1
-
-    push(0.0, _EV_WRITE, 0)
-    push(0.0, _EV_WRITE, 1)
-    stokes = [0, 0]
-    read_time: float | None = None
-
-    while events:
-        t, _, kind, idx = heapq.heappop(events)
-        node = nodes[idx]
-        if kind == _EV_WRITE:
-            if rng.random() < p_click[idx]:
-                node.to_holding(t)
-                push(t + params.latency_ns, _EV_MESSAGE, 1 - idx)
-                peer = nodes[1 - idx]
-                if peer.phase is Phase.HOLDING:
-                    # Second herald: rendezvous time is now common knowledge
-                    # after one more message round-trip.
-                    read_time = t + 2.0 * params.latency_ns + params.dt_read_ns
-                    push(read_time, _EV_READ, 0)
-                    push(read_time, _EV_READ, 1)
-            elif node.attempt_index + 1 < params.n_write_max:
-                node.next_attempt()
-                push(t + params.dt_write_ns, _EV_WRITE, idx)
-            else:
-                node.to_done(False)
-        elif kind == _EV_MESSAGE:
-            msg_arrival[idx] = t
-        else:  # _EV_READ
-            arrived = msg_arrival[idx]
-            if arrived is None or t < arrived:
-                raise RuntimeError("read scheduled before the peer-ready message arrived")
-            node.to_reading()
-            hold = t - node.herald_time_ns
-            gamma = params.gamma_at(sources[idx], hold)
-            stokes[idx] = _sample_retrieval(sources[idx].heralded_shape(), gamma, rng)
-            node.to_done(stokes[idx] > 0)
-
-    herald = [n.attempt_index if n.herald_time_ns is not None else None for n in nodes]
-    holds: list[float | None] = [None, None]
-    if read_time is not None:
-        holds = [read_time - n.herald_time_ns for n in nodes]
-    four_fold = stokes[0] > 0 and stokes[1] > 0
+    p_click = [source.herald_prob for source in sources]
+    herald: list[int | None] = [None, None]
+    for k in range(params.n_write_max):
+        for idx in (0, 1):
+            if herald[idx] is None and rng.random() < p_click[idx]:
+                herald[idx] = k
+    if None in herald:
+        return TrialOutcome(herald[0], herald[1], None, None, 0, 0, False)
+    holds = [float(hold) for hold in _holds(params, *herald)]
+    stokes = [
+        int(_retrieved(source.heralded_shape(), params.gamma_at(source, hold), rng.random(3)))
+        for source, hold in zip(sources, holds)
+    ]
     return TrialOutcome(
         herald_a=herald[0],
         herald_b=herald[1],
@@ -333,7 +262,7 @@ def run_protocol_trial(params: ProtocolParams, rng: np.random.Generator) -> Tria
         hold_time_b_ns=holds[1],
         stokes_a=stokes[0],
         stokes_b=stokes[1],
-        four_fold=four_fold,
+        four_fold=stokes[0] > 0 and stokes[1] > 0,
     )
 
 
@@ -399,7 +328,6 @@ def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterat
     node's ``(positions, attempts)``; the rest covers the joint heralds.
     """
     sources = (params.source_a, params.source_b)
-    overhead = 2.0 * params.latency_ns + params.dt_read_ns
     for c in range((n_trials + _CHUNK_SIZE - 1) // _CHUNK_SIZE):
         m = min(_CHUNK_SIZE, n_trials - c * _CHUNK_SIZE)
         rng = np.random.default_rng([seed, c])
@@ -409,20 +337,15 @@ def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterat
         both[pos_a] = 1
         both[pos_b] += 1
         in_b, in_a = both[pos_a] == 2, both[pos_b] == 2
-        joint, attempts = pos_a[in_b], (att_a[in_b], att_b[in_a])
-        later = np.maximum(*attempts)
-        holds = tuple((later - i) * params.dt_write_ns + overhead for i in attempts)
+        joint = pos_a[in_b]
+        holds = _holds(params, att_a[in_b], att_b[in_a])
         four_fold = np.ones(joint.size, dtype=bool)
         for source, hold in zip(sources, holds):
             if not joint.size:
                 break  # a source that never heralds has no heralded shape
-            # Draw 0 picks the stored excitation number, draws 1 and 2 its survival.
-            shape = source.heralded_shape()
             draws = rng.random((3, joint.size))
-            gamma = params.gamma_at(source, hold)
-            four_fold &= ((draws[1] < gamma) & (draws[0] >= shape[0])) | (
-                (draws[2] < gamma) & (draws[0] >= shape[0] + shape[1])
-            )
+            retrieved = _retrieved(source.heralded_shape(), params.gamma_at(source, hold), draws)
+            four_fold &= retrieved > 0
         yield c * _CHUNK_SIZE, m, heralds, joint, holds, four_fold
 
 

@@ -131,8 +131,10 @@ def test_hom_visibility_decreasing_in_alpha():
 
 
 def test_hom_zero_plateau_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plateau"):
         hom_coincidence(0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="plateau"):
+        hom_scan(0.0, 0.0, 0.0, 0.0, 25.0, ScanDomain.TIME, [-10.0, 0.0, 10.0])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
@@ -324,6 +326,12 @@ def test_predicted_s_violation_threshold():
 def test_predicted_s_rejects_negative():
     with pytest.raises(ValueError):
         predicted_S(-0.01)
+
+
+@pytest.mark.parametrize("alpha_bar", [math.nan, math.inf, -math.inf])
+def test_predicted_s_rejects_non_finite(alpha_bar):
+    with pytest.raises(ValueError, match="alpha_bar"):
+        predicted_S(alpha_bar)
 
 
 def test_predicted_s_matches_compositional_route():

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from heraldsync.photon_stats import SourceParams
+from heraldsync.photon_stats import FockDistribution, SourceParams
 from heraldsync.protocol import (
     _CHUNK_SIZE,
+    _retrieved,
     CoincidenceStats,
     DecayModel,
-    NodeState,
-    Phase,
     ProtocolParams,
     default_params,
     enhancement_factor,
@@ -89,6 +88,26 @@ def test_decay_frozen_values():
 def test_decay_rejects_negative_hold():
     with pytest.raises(ValueError):
         memory_retrieval_efficiency(0.08, -1.0, DecayModel.GAUSSIAN_HALF, 12.0)
+
+
+@pytest.mark.parametrize("model", list(DecayModel))
+@pytest.mark.parametrize(
+    "gamma0,hold,tau_c_us,name",
+    [
+        (0.08, 100.0, math.nan, "tau_c_us"),
+        (0.08, 100.0, math.inf, "tau_c_us"),
+        (math.nan, 100.0, 12.0, "gamma0"),
+        (math.inf, 100.0, 12.0, "gamma0"),
+        (0.08, math.nan, 12.0, "hold_time_ns"),
+        (0.08, math.inf, 12.0, "hold_time_ns"),
+        (0.08, np.array([0.0, math.nan]), 12.0, "hold_time_ns"),
+    ],
+    ids=["tau-nan", "tau-inf", "gamma0-nan", "gamma0-inf", "hold-nan", "hold-inf",
+         "hold-array-nan"],
+)
+def test_decay_rejects_non_finite(model, gamma0, hold, tau_c_us, name):
+    with pytest.raises(ValueError, match=name):
+        memory_retrieval_efficiency(gamma0, hold, model, tau_c_us)
 
 
 def test_decay_bounded_by_gamma0():
@@ -247,34 +266,19 @@ def test_enhancement_monotone_in_tau_and_n():
 
 
 # ---------------------------------------------------------------------------
-# NodeState transitions
-
-
-def test_node_state_legal_path():
-    node = NodeState()
-    node.next_attempt()
-    node.to_holding(800.0)
-    node.to_reading()
-    node.to_done(True)
-    assert node.phase is Phase.DONE and node.succeeded
-
-
-def test_node_state_illegal_transitions():
-    node = NodeState()
-    with pytest.raises(RuntimeError):
-        node.to_reading()  # WRITING -> READING skips the herald
-    node.to_holding(0.0)
-    with pytest.raises(RuntimeError):
-        node.to_holding(1.0)
-    with pytest.raises(RuntimeError):
-        node.to_done(False)  # HOLDING -> DONE is not a legal edge
-    node.to_reading()
-    with pytest.raises(RuntimeError):
-        node.next_attempt()
-
-
-# ---------------------------------------------------------------------------
 # run_protocol_trial
+
+
+def test_retrieved_counts_surviving_excitations():
+    # draw 0 picks the excitation number, draws 1 and 2 the survival of the
+    # first and second; arrays and scalars give the same counts
+    draws = np.array([[0.5, 0.5, 0.5, 0.1], [0.1, 0.1, 0.9, 0.1], [0.1, 0.9, 0.1, 0.1]])
+    for shape, expected in (
+        (FockDistribution((0.0, 0.0, 1.0)), [2, 1, 1, 2]),
+        (FockDistribution((0.2, 0.8, 0.0)), [1, 1, 0, 0]),
+    ):
+        assert _retrieved(shape, 0.5, draws).tolist() == expected
+        assert [int(_retrieved(shape, 0.5, column)) for column in draws.T] == expected
 
 
 def test_trial_certain_coincidence():
@@ -529,7 +533,7 @@ def test_campaign_matches_closed_form(params, n_trials):
 
 
 def test_campaign_matches_trial_loop():
-    # the vectorized sampler and the event-driven reference implement the
+    # the vectorized sampler and the single-trial reference implement the
     # same process: compare four-fold rates by a two-sample z test
     params = make_params(p_a=0.2, p_b=0.15, gamma0=0.7, n_write_max=4)
     n = 40_000
@@ -539,6 +543,40 @@ def test_campaign_matches_trial_loop():
     p_pool = (loop_hits + stats.four_fold_count) / (2 * n)
     se = math.sqrt(2.0 * p_pool * (1.0 - p_pool) / n)
     assert abs(loop_hits / n - stats.p4c_hat) < 4.0 * se
+
+
+# about 2 s of trials in all; derandomized, so the examples never change
+TRIAL_LOOP_EXAMPLES = 20
+TRIAL_LOOP_TRIALS = 2_500
+
+
+@given(
+    p_a=st.floats(min_value=0.05, max_value=0.9),
+    p_b=st.floats(min_value=0.05, max_value=0.9),
+    gamma0=st.floats(min_value=0.3, max_value=1.0),
+    tau_c_us=st.floats(min_value=0.5, max_value=30.0),
+    n_write_max=st.integers(min_value=1, max_value=8),
+    latency_ns=st.floats(min_value=0.0, max_value=2000.0),
+    decay_model=st.sampled_from(list(DecayModel)),
+)
+@settings(derandomize=True, max_examples=TRIAL_LOOP_EXAMPLES, deadline=None)
+def test_trial_loop_matches_closed_form(
+    p_a, p_b, gamma0, tau_c_us, n_write_max, latency_ns, decay_model
+):
+    # the single-trial reference across latencies and both decay models
+    params = make_params(
+        p_a=p_a,
+        p_b=p_b,
+        gamma0=gamma0,
+        n_write_max=n_write_max,
+        tau_c_us=tau_c_us,
+        latency_ns=latency_ns,
+        decay_model=decay_model,
+    )
+    rng = np.random.default_rng(31)
+    hits = sum(run_protocol_trial(params, rng).four_fold for _ in range(TRIAL_LOOP_TRIALS))
+    stats = CoincidenceStats.from_counts(TRIAL_LOOP_TRIALS, hits)
+    assert abs(z_score(stats, p4c_feedback_closed_form(params))) < 4.0
 
 
 def test_campaign_sweep_tracks_closed_form():

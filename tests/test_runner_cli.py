@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import heraldsync
 from heraldsync.cli import main
 from heraldsync.config import parse_config
 from heraldsync.protocol import TRIAL_RECORD_DTYPE
@@ -15,6 +16,13 @@ from heraldsync.runner import DataTable, _fmt, emit_outputs, run_scenario
 
 def run_text(text: str):
     return run_scenario(parse_config(text))
+
+
+def test_public_names_resolve():
+    names = heraldsync.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(heraldsync, name) is not None, name
 
 
 # ---------------------------------------------------------------------------
@@ -117,32 +125,36 @@ RECORD_SOURCES_DENSE = (
 )
 
 
-# SHA-256 of table.csv and summary.json on the skip-sampled herald stream;
-# each table.csv equals the per-cell _fmt rendering of its records.
+RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
+
+
+# Golden corpus over every scenario: SHA-256 of table.csv (None where the
+# scenario writes none) and of summary.json.  Each record table equals the
+# per-cell _fmt rendering of its records.
 @pytest.mark.parametrize(
     "text,table_sha,summary_sha",
     [
         pytest.param(
-            "seed = 7\ntrials = 70000\n",
+            RECORDS + "seed = 7\ntrials = 70000\n",
             "9a29eded4a01841730c20d4e9bdfb5fece00a6a12ab434a181e5054644006472",
             "c82289b238b1fbc2ccf0ee79ddd473a68f8a3da7b6c9f91eff2d531b71b42702",
             id="default-across-chunk-boundary",
         ),
         pytest.param(
-            "seed = 3\ntrials = 1\n",
+            RECORDS + "seed = 3\ntrials = 1\n",
             "c6e9b1f5e26909fbaf6a8223d0915207936a91985047bc0d1e1f3348bb0a1686",
             "c86971d2d47fdfd783dc58e33fe80e12da525622106ec8fabf6986b98f7c8de1",
             id="single-trial",
         ),
         pytest.param(
-            "seed = 11\ntrials = 5000\nprotocol.tau_c_us = 8.0\n"
+            RECORDS + "seed = 11\ntrials = 5000\nprotocol.tau_c_us = 8.0\n"
             "protocol.decay_model = exponential\n" + RECORD_SOURCES_DENSE,
             "40af2db72a4f13b5c90a626a168b04cd1e7a9561eb817666ef19bb0caa2f061f",
             "5223872e8838dedfd3d511104a0689075d1c2e0106b8aede081ab75370648f53",
             id="dense-dark-exponential",
         ),
         pytest.param(
-            "seed = 5\ntrials = 5000\nprotocol.latency_ns = 1500.0\n"
+            RECORDS + "seed = 5\ntrials = 5000\nprotocol.latency_ns = 1500.0\n"
             "protocol.n_write_max = 4\n"
             "protocol.source_a.p_as = 0.1\nprotocol.source_b.p_as = 0.2\n"
             "protocol.source_a.gamma0 = 0.6\nprotocol.source_b.gamma0 = 0.6\n",
@@ -150,15 +162,62 @@ RECORD_SOURCES_DENSE = (
             "d2c7569c66fa7c953aac6a8b9bbc5bf81e54d2096cd2a0a6bba340f6d8c627b3",
             id="latency",
         ),
+        pytest.param(
+            "scenario = enhancement\n"
+            "enhancement.tau_c_us_list = 4, 12\n"
+            "enhancement.n_write_max_list = 1, 6, 12\n"
+            "protocol.latency_ns = 600.0\n"
+            "protocol.source_a.chi = 0.05\nprotocol.source_a.eta_as = 0.7\n"
+            "protocol.source_b.chi = 0.08\nprotocol.source_b.eta_as = 0.6\n"
+            "protocol.source_b.gamma0 = 0.3\n",
+            "42a09c67d3d303cfbde7f7c166b3e6fc077a584749847ad0da16498a58cc6483",
+            "a60c9d6339ed97d9c7055b16cd1e9bb73dc240ecedb7b4a16ed8c2b2bff9a557",
+            id="enhancement-sweep-chi-latency",
+        ),
+        pytest.param(
+            "scenario = hom_scan\n",
+            "3ad0f967bfb72bb7d7122f7337c0bac5adc1cc28ddc776a2824ecb7e61f90833",
+            "e947da73dc068a22957309d818a5afb1a1bf157b9db1e124d8fc3a08eb5b6577",
+            id="hom-time",
+        ),
+        pytest.param(
+            "scenario = hom_scan\nhom.domain = frequency\nhom.points = 41\n"
+            "hom.alpha1 = 0.05\nhom.alpha2 = 0.3\nhom.p_i1 = 0.8\nhom.p_i2 = 0.6\n",
+            "982a0e5c57653c8dd4818b3b15a27516e8c6f51734a875c4b3f3f17fec0bf4ab",
+            "17caebcb58228f3a7dbb60ee6e61317cbacd26f64c9404eeff17f2bebff071de",
+            id="hom-frequency",
+        ),
+        pytest.param(
+            "scenario = chsh\n",
+            "d8f5e83c10c9f7ef7828b23291cb212ce1102f4962721c889122e907ad51725e",
+            "29203dcaf563f865b0967cae02a763390bdcc00e5e3fa525f0edfc2391f10ad1",
+            id="chsh-analytic",
+        ),
+        pytest.param(
+            "scenario = chsh\nchsh.mode = sampled\nchsh.n_events = 20000\nseed = 4\n"
+            "chsh.alpha1 = 0.2\nchsh.p_i2 = 0.7\n",
+            "e0c58819b7c685a5100341e33c41066eb7a704b400e8a19e8f0bae390a845343",
+            "68f54d96f52c9886b9e38b722224d46fe69c498c772c7043ca85c9a15ffb89de",
+            id="chsh-sampled",
+        ),
+        pytest.param(
+            "scenario = protocol_sim\nseed = 9\ntrials = 300000\n"
+            "protocol.source_a.p_as = 0.05\nprotocol.source_b.p_as = 0.03\n"
+            "protocol.source_a.gamma0 = 0.5\nprotocol.source_b.gamma0 = 0.5\n"
+            "protocol.latency_ns = 300.0\n",
+            None,
+            "127a735f0538008293c8ff968abf09baf6b95c71ea69149144f792762054e858",
+            id="protocol-sim-summary",
+        ),
     ],
 )
 def test_records_table_golden_bytes(tmp_path, text, table_sha, summary_sha):
-    config = parse_config(
-        "scenario = protocol_sim\nprotocol_sim.record_trials = true\n" + text
-    )
-    emit_outputs(*run_scenario(config), tmp_path)
-    table = (tmp_path / "table.csv").read_bytes()
-    assert hashlib.sha256(table).hexdigest() == table_sha
+    emit_outputs(*run_scenario(parse_config(text)), tmp_path)
+    table = tmp_path / "table.csv"
+    if table_sha is None:
+        assert not table.exists()
+    else:
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == table_sha
     summary = (tmp_path / "summary.json").read_bytes()
     assert hashlib.sha256(summary).hexdigest() == summary_sha
 
