@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Callable, Mapping
 
@@ -28,9 +28,16 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "DEFAULT_SEED",
+    "N_WRITE_MAX_CAP",
+    "HOM_POINTS_CAP",
 ]
 
 DEFAULT_SEED = 0
+#: Largest write budget N accepted (``protocol.n_write_max`` and every
+#: ``enhancement.n_write_max_list`` entry); the closed form allocates O(N).
+N_WRITE_MAX_CAP = 100_000
+#: Largest ``hom.points`` accepted; the scan allocates and writes its grid.
+HOM_POINTS_CAP = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -128,19 +135,25 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part.strip()) for part in text.split(","))
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in text.split(","))
-
-
-def _parse_seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {value}")
+def _parse_positive(text: str) -> float:
+    value = _parse_float(text)
+    if value <= 0.0:
+        raise ValueError(f"expected a positive number, got {text!r}")
     return value
+
+
+def _parse_int_in(low: int, high: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise ValueError(f"expected an integer from {low} to {high}, got {value}")
+        return value
+
+    return parse
+
+
+def _parse_list(item: Callable[[str], Any]) -> Callable[[str], tuple]:
+    return lambda text: tuple(item(part.strip()) for part in text.split(","))
 
 
 @dataclass(frozen=True)
@@ -164,10 +177,10 @@ def _source_keys(tag: str) -> dict[str, _KeySpec]:
 
 _KEYS: dict[str, _KeySpec] = {
     "scenario": _KeySpec(_parse_enum(Scenario), required=True),
-    "seed": _KeySpec(_parse_seed, default=DEFAULT_SEED),
-    "trials": _KeySpec(int, default=100_000),
+    "seed": _KeySpec(_parse_int_in(0, 2**64 - 1), default=DEFAULT_SEED),
+    "trials": _KeySpec(_parse_int_in(1, 2**63 - 1), default=100_000),
     "output_path": _KeySpec(str, default="out"),
-    "protocol.n_write_max": _KeySpec(int, default=12),
+    "protocol.n_write_max": _KeySpec(_parse_int_in(1, N_WRITE_MAX_CAP), default=12),
     "protocol.dt_write_ns": _KeySpec(_parse_float, default=800.0),
     "protocol.dt_read_ns": _KeySpec(_parse_float, default=400.0),
     "protocol.tau_c_us": _KeySpec(_parse_float, default=12.0),
@@ -175,12 +188,12 @@ _KEYS: dict[str, _KeySpec] = {
     "protocol.latency_ns": _KeySpec(_parse_float, default=0.0),
     **_source_keys("a"),
     **_source_keys("b"),
-    "enhancement.tau_c_us_list": _KeySpec(_parse_float_list),
-    "enhancement.n_write_max_list": _KeySpec(_parse_int_list),
+    "enhancement.tau_c_us_list": _KeySpec(_parse_list(_parse_positive)),
+    "enhancement.n_write_max_list": _KeySpec(_parse_list(_parse_int_in(1, N_WRITE_MAX_CAP))),
     "hom.domain": _KeySpec(_parse_enum(ScanDomain), default=ScanDomain.TIME),
     "hom.half_range_ns": _KeySpec(_parse_float, default=50.0),
     "hom.half_range_mhz": _KeySpec(_parse_float, default=30.0),
-    "hom.points": _KeySpec(int, default=61),
+    "hom.points": _KeySpec(_parse_int_in(2, HOM_POINTS_CAP), default=61),
     "hom.coherence_fwhm_ns": _KeySpec(_parse_float, default=25.0),
     "hom.alpha1": _KeySpec(_parse_float, default=0.12),
     "hom.alpha2": _KeySpec(_parse_float, default=0.17),
@@ -195,7 +208,7 @@ _KEYS: dict[str, _KeySpec] = {
     "chsh.alpha2": _KeySpec(_parse_float, default=0.17),
     "chsh.p_i1": _KeySpec(_parse_float, default=1.0),
     "chsh.p_i2": _KeySpec(_parse_float, default=1.0),
-    "chsh.n_events": _KeySpec(int, default=1_000_000),
+    "chsh.n_events": _KeySpec(_parse_int_in(1, 2**63 - 1), default=1_000_000),
     "protocol_sim.record_trials": _KeySpec(_parse_bool, default=False),
 }
 
@@ -246,23 +259,19 @@ def _scan_pairs(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
+def _section(cls, prefix: str, resolved: Mapping[str, Any], **given: Any):
+    """``cls`` with each field read from key ``prefix + name``, except ``given``."""
+    values = {f.name: resolved[prefix + f.name] for f in fields(cls) if f.name not in given}
+    return cls(**values, **given)
+
+
 def _build_source(resolved: dict[str, Any], tag: str, explicit: set[str]) -> SourceParams:
     prefix = f"protocol.source_{tag}."
-    p_as = resolved[prefix + "p_as"]
-    chi = resolved[prefix + "chi"]
     # The p_as default backs off when the source is specified through chi.
-    if chi is not None and (prefix + "p_as") not in explicit:
-        p_as = None
+    if resolved[prefix + "chi"] is not None and (prefix + "p_as") not in explicit:
         resolved[prefix + "p_as"] = None
     try:
-        return SourceParams(
-            gamma0=resolved[prefix + "gamma0"],
-            chi=chi,
-            eta_as=resolved[prefix + "eta_as"],
-            p_as=p_as,
-            alpha_override=resolved[prefix + "alpha_override"],
-            dark_click_prob=resolved[prefix + "dark_click_prob"],
-        )
+        return _section(SourceParams, prefix, resolved)
     except ValueError as exc:
         raise ConfigError(str(exc), key=prefix.rstrip(".")) from exc
 
@@ -298,56 +307,13 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
     source_a = _build_source(resolved, "a", explicit)
     source_b = _build_source(resolved, "b", explicit)
     try:
-        protocol = ProtocolParams(
-            source_a=source_a,
-            source_b=source_b,
-            n_write_max=resolved["protocol.n_write_max"],
-            dt_write_ns=resolved["protocol.dt_write_ns"],
-            dt_read_ns=resolved["protocol.dt_read_ns"],
-            tau_c_us=resolved["protocol.tau_c_us"],
-            decay_model=resolved["protocol.decay_model"],
-            latency_ns=resolved["protocol.latency_ns"],
+        protocol = _section(
+            ProtocolParams, "protocol.", resolved, source_a=source_a, source_b=source_b
         )
     except ValueError as exc:
         raise ConfigError(str(exc), key="protocol") from exc
 
-    if resolved["trials"] < 1:
-        raise ConfigError("trials must be >= 1", key="trials")
-    if resolved["hom.points"] < 2:
-        raise ConfigError("hom.points must be >= 2", key="hom.points")
-    if resolved["chsh.n_events"] < 1:
-        raise ConfigError("chsh.n_events must be >= 1", key="chsh.n_events")
-
-    hom = HomSettings(
-        domain=resolved["hom.domain"],
-        half_range_ns=resolved["hom.half_range_ns"],
-        half_range_mhz=resolved["hom.half_range_mhz"],
-        points=resolved["hom.points"],
-        coherence_fwhm_ns=resolved["hom.coherence_fwhm_ns"],
-        alpha1=resolved["hom.alpha1"],
-        alpha2=resolved["hom.alpha2"],
-        p_i1=resolved["hom.p_i1"],
-        p_i2=resolved["hom.p_i2"],
-    )
-    chsh = ChshSettings(
-        mode=resolved["chsh.mode"],
-        settings=AnalyzerSettings(
-            theta1_deg=resolved["chsh.theta1_deg"],
-            theta1_prime_deg=resolved["chsh.theta1_prime_deg"],
-            theta2_deg=resolved["chsh.theta2_deg"],
-            theta2_prime_deg=resolved["chsh.theta2_prime_deg"],
-        ),
-        alpha1=resolved["chsh.alpha1"],
-        alpha2=resolved["chsh.alpha2"],
-        p_i1=resolved["chsh.p_i1"],
-        p_i2=resolved["chsh.p_i2"],
-        n_events=resolved["chsh.n_events"],
-    )
-    enhancement = EnhancementSettings(
-        tau_c_us_list=resolved["enhancement.tau_c_us_list"],
-        n_write_max_list=resolved["enhancement.n_write_max_list"],
-    )
-
+    analyzers = _section(AnalyzerSettings, "chsh.", resolved)
     return RunConfig(
         scenario=resolved["scenario"],
         seed=resolved["seed"],
@@ -355,8 +321,8 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         output_path=resolved["output_path"],
         record_trials=resolved["protocol_sim.record_trials"],
         protocol=protocol,
-        enhancement=enhancement,
-        hom=hom,
-        chsh=chsh,
+        enhancement=_section(EnhancementSettings, "enhancement.", resolved),
+        hom=_section(HomSettings, "hom.", resolved),
+        chsh=_section(ChshSettings, "chsh.", resolved, settings=analyzers),
         config_hash=_hash_resolved(resolved),
     )

@@ -56,6 +56,9 @@ class TemporalMode:
             raise ValueError(
                 f"coherence_fwhm_ns must be positive and finite, got {self.coherence_fwhm_ns}"
             )
+        for name in ("arrival_offset_ns", "frequency_offset_mhz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def sigma_ns(self) -> float:
@@ -177,8 +180,8 @@ def hom_scan(
     grid_arr = np.asarray(grid, dtype=float)
     if grid_arr.ndim != 1 or grid_arr.size == 0:
         raise ValueError("grid must be a nonempty 1-D sequence")
-    if np.any(np.diff(grid_arr) < 0.0):
-        raise ValueError("grid must be sorted ascending")
+    if not (np.isfinite(grid_arr).all() and (np.diff(grid_arr) >= 0.0).all()):
+        raise ValueError("grid values must be finite and sorted ascending")
     mode = TemporalMode(coherence_fwhm_ns=coherence_fwhm_ns)
     if domain is ScanDomain.TIME:
         overlaps = _overlap_factors(grid_arr, 0.0, mode.sigma_ns)

@@ -34,6 +34,7 @@ __all__ = [
     "memory_retrieval_efficiency",
     "p4c_no_feedback",
     "p4c_feedback_closed_form",
+    "p4c_feedback_by_n",
     "enhancement_factor",
     "run_protocol_trial",
     "simulate_campaign",
@@ -143,53 +144,57 @@ def p4c_no_feedback(params: ProtocolParams) -> float:
     pb = params.source_b.herald_prob
     if pa == 0.0 or pb == 0.0:
         return 0.0
-    ra = _read_success(
-        params.source_a.heralded_shape(),
-        params.gamma_at(params.source_a, params.dt_read_ns),
-    )
-    rb = _read_success(
-        params.source_b.heralded_shape(),
-        params.gamma_at(params.source_b, params.dt_read_ns),
+    ra, rb = (
+        _read_success(source.heralded_shape(), params.gamma_at(source, params.dt_read_ns))
+        for source in (params.source_a, params.source_b)
     )
     return pa * ra * pb * rb
 
 
-def p4c_feedback_closed_form(params: ProtocolParams) -> float:
-    """Exact four-fold coincidence probability under feedback.
+def p4c_feedback_by_n(params: ProtocolParams, ns) -> np.ndarray:
+    """Exact four-fold coincidence probability under feedback, one entry
+    per write budget N in ``ns`` (``params.n_write_max`` is not read).
 
     Sums over the herald attempts (i, j) of the two nodes: the node that
     heralds first waits (j - i) write slots plus the rendezvous overhead
     (a message round-trip, 2 * latency, and the read delay) while its
     memory decays, the later one waits only the overhead.  Events are
     partitioned by which node heralds first; the simultaneous-herald
-    stratum is counted once.  Evaluated in O(N) via geometric partial
-    sums.
+    stratum is counted once.  The gap terms are built once up to max(ns);
+    each N is a sum of the first N of them against geometric partial sums,
+    so an entry does not depend on which other N share ``ns``.
     """
+    if min(ns) < 1:
+        raise ValueError(f"every n_write_max must be >= 1, got {min(ns)}")
     pa = params.source_a.herald_prob
     pb = params.source_b.herald_prob
     if pa == 0.0 or pb == 0.0:
-        return 0.0
-    n = params.n_write_max
+        return np.zeros(len(ns))
+    n_max = max(ns)
     qa, qb = 1.0 - pa, 1.0 - pb
 
-    shape_a = params.source_a.heralded_shape()
-    shape_b = params.source_b.heralded_shape()
-    d = np.arange(n, dtype=float)
+    d = np.arange(n_max, dtype=float)
     t_wait = _holds(params, 0, d)[0]  # the earlier node's hold at gap d
-    ra_wait = _read_success(shape_a, params.gamma_at(params.source_a, t_wait))
-    rb_wait = _read_success(shape_b, params.gamma_at(params.source_b, t_wait))
-    ra0 = float(ra_wait[0])  # hold = overhead
-    rb0 = float(rb_wait[0])
+    ra_wait, rb_wait = (
+        _read_success(source.heralded_shape(), params.gamma_at(source, t_wait))
+        for source in (params.source_a, params.source_b)
+    )
+    ra0, rb0 = float(ra_wait[0]), float(rb_wait[0])  # hold = overhead
+    terms = np.stack([qb**d * ra_wait, qa**d * rb_wait])  # A first, B first
 
     # G[m] = sum_{i=0}^{m} (qa*qb)^i; the inner depletion sum for gap d
-    # runs over i = 0..N-1-d.
-    g = np.cumsum((qa * qb) ** np.arange(n, dtype=float))
-    g_rev = g[::-1]  # g_rev[d] = G[N-1-d]
-
-    a_first = pa * pb * rb0 * float(np.sum(qb**d * ra_wait * g_rev))
-    b_first = pa * pb * ra0 * float(np.sum(qa**d * rb_wait * g_rev))
-    diagonal = pa * pb * ra0 * rb0 * float(g[-1])
+    # runs over i = 0..N-1-d, so budget N reads g[N-1::-1].
+    g = np.cumsum((qa * qb) ** d)
+    sums = np.array([(terms[:, :n] * g[n - 1 :: -1]).sum(axis=1) for n in ns])
+    a_first = pa * pb * rb0 * sums[:, 0]
+    b_first = pa * pb * ra0 * sums[:, 1]
+    diagonal = pa * pb * ra0 * rb0 * g[np.asarray(ns) - 1]
     return a_first + b_first - diagonal
+
+
+def p4c_feedback_closed_form(params: ProtocolParams) -> float:
+    """:func:`p4c_feedback_by_n` at ``params.n_write_max``."""
+    return float(p4c_feedback_by_n(params, (params.n_write_max,))[0])
 
 
 def enhancement_factor(params: ProtocolParams) -> float:

@@ -28,6 +28,7 @@ from .interference import (
 from .protocol import (
     _CHUNK_SIZE,
     enhancement_factor,
+    p4c_feedback_by_n,
     p4c_feedback_closed_form,
     p4c_no_feedback,
     simulate_campaign,
@@ -91,15 +92,37 @@ def _record_lines(block: np.ndarray) -> str:
     return ("%d%s" * block.size) % tuple(cells)
 
 
+def _table_lines(rows: list[tuple]) -> str:
+    """CSV lines of a generic table, formatted by column with one ``%``-format.
+
+    A column of ints and bools takes ``%d`` and a column of floats
+    ``%.10g``, both equal to :func:`_fmt`; a column mixing the two keeps
+    per-cell ``_fmt``.
+    """
+    width = len(rows[0]) if rows else 0
+    cells = [v for row in rows for v in row]
+    specs = []
+    for k in range(width):
+        column = cells[k::width]
+        ints = {issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, column))}
+        specs.append("%d" if ints == {True} else "%.10g" if ints == {False} else "%s")
+        if specs[-1] == "%s":
+            cells[k::width] = [_fmt(v) for v in column]
+    return ((",".join(specs) + "\n") * len(rows)) % tuple(cells)
+
+
 def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], DataTable]:
     params = config.protocol
     taus = config.enhancement.tau_c_us_list or (params.tau_c_us,)
     ns = config.enhancement.n_write_max_list or (params.n_write_max,)
     rows = []
     for tau in taus:
-        for n in ns:
-            point = replace(params, tau_c_us=tau, n_write_max=n)
-            rows.append((tau, n, enhancement_factor(point)))
+        point = replace(params, tau_c_us=tau)
+        baseline = p4c_no_feedback(point)
+        if baseline == 0.0:
+            raise ValueError("no-feedback coincidence probability is zero")
+        column = (p4c_feedback_by_n(point, ns) / baseline).tolist()
+        rows += [(tau, n, e) for n, e in zip(ns, column)]
     metrics = {
         "enhancement": enhancement_factor(params),
         "p4c_feedback": p4c_feedback_closed_form(params),
@@ -119,7 +142,7 @@ def _run_hom_scan(config: RunConfig) -> tuple[dict[str, Any], DataTable]:
         hom.alpha1, hom.alpha2, hom.p_i1, hom.p_i2, hom.coherence_fwhm_ns, hom.domain, grid
     )
     dip = hom_coincidence(hom.alpha1, hom.alpha2, hom.p_i1, hom.p_i2, overlap=1.0)
-    rows = [(x, c, scan.plateau) for x, c in zip(scan.abscissa, scan.coincidence)]
+    rows = list(zip(scan.abscissa.tolist(), scan.coincidence.tolist(), [scan.plateau] * grid.size))
     metrics = {
         "visibility": dip.visibility,
         "c_plat": dip.c_plat,
@@ -203,8 +226,8 @@ def run_scenario(config: RunConfig) -> tuple[RunSummary, DataTable | None]:
 def emit_outputs(summary: RunSummary, table: DataTable | None, path: str | Path) -> None:
     """Write summary.json (and table.csv when present) under ``path``.
 
-    LF newlines; floats carry at least six significant digits.  A trial
-    record table is formatted and written one campaign chunk at a time.
+    LF newlines; floats carry at least six significant digits.  Tables are
+    formatted by column, a trial record table one campaign chunk at a time.
     """
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,4 +252,4 @@ def emit_outputs(summary: RunSummary, table: DataTable | None, path: str | Path)
             for lo in range(0, table.rows.size, _CHUNK_SIZE):
                 out.write(_record_lines(table.rows[lo : lo + _CHUNK_SIZE]))
         else:
-            out.write("".join(",".join(_fmt(v) for v in row) + "\n" for row in table.rows))
+            out.write(_table_lines(table.rows))

@@ -2,7 +2,14 @@
 
 import pytest
 
-from heraldsync.config import ChshMode, ConfigError, Scenario, parse_config
+from heraldsync.config import (
+    HOM_POINTS_CAP,
+    N_WRITE_MAX_CAP,
+    ChshMode,
+    ConfigError,
+    Scenario,
+    parse_config,
+)
 from heraldsync.interference import ScanDomain
 from heraldsync.protocol import DecayModel
 
@@ -123,6 +130,24 @@ def test_enhancement_sweep_lists():
     config = parse_config(text)
     assert config.enhancement.tau_c_us_list == (1.0, 5.0, 12.0)
     assert config.enhancement.n_write_max_list == (1, 6, 12)
+
+
+@pytest.mark.parametrize(
+    "key,template,cap",
+    [
+        ("protocol.n_write_max", "{}", N_WRITE_MAX_CAP),
+        ("enhancement.n_write_max_list", "{}", N_WRITE_MAX_CAP),
+        ("enhancement.n_write_max_list", "12, {}", N_WRITE_MAX_CAP),
+        ("hom.points", "{}", HOM_POINTS_CAP),
+    ],
+)
+def test_sizes_capped(key, template, cap):
+    # parse only: nothing of the stated size is allocated
+    parse_config(f"scenario = enhancement\n{key} = {template.format(cap)}\n")
+    with pytest.raises(ConfigError, match=f"{key}.*line: 2") as info:
+        parse_config(f"scenario = enhancement\n{key} = {template.format(cap + 1)}\n")
+    assert info.value.key == key
+    assert str(cap) in str(info.value)
 
 
 def test_chsh_mode_and_events():

@@ -192,6 +192,13 @@ def test_scan_frequency_fwhm_matches_numeric_crossing():
     assert numeric == pytest.approx(scan.dip_fwhm, abs=1e-6)
 
 
+@pytest.mark.parametrize("field", ["arrival_offset_ns", "frequency_offset_mhz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_mode_rejects_non_finite_offset(field, value):
+    with pytest.raises(ValueError, match=field):
+        TemporalMode(**{field: value})
+
+
 def test_scan_tails_reach_plateau():
     for domain, far in ((ScanDomain.TIME, 1e4), (ScanDomain.FREQUENCY, 1e4)):
         scan = hom_scan(0.12, 0.17, 1.0, 1.0, 25.0, domain, [-far, 0.0, far])
@@ -205,6 +212,18 @@ def test_scan_rejects_bad_grid():
         hom_scan(0.1, 0.1, 1.0, 1.0, 25.0, ScanDomain.TIME, [])
     with pytest.raises(ValueError):
         hom_scan(0.1, 0.1, 1.0, 1.0, 25.0, ScanDomain.TIME, [1.0, -1.0])
+
+
+@pytest.mark.parametrize("domain", list(ScanDomain))
+@pytest.mark.parametrize(
+    "grid",
+    [[math.nan], [math.inf], [-math.inf], [0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]],
+)
+def test_scan_rejects_non_finite_grid(domain, grid):
+    # each grid passes the ascending-order check, which NaN and a rising
+    # infinity get through
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        hom_scan(0.12, 0.17, 1.0, 1.0, 25.0, domain, grid)
 
 
 # ---------------------------------------------------------------------------

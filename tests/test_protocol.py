@@ -19,6 +19,7 @@ from heraldsync.protocol import (
     default_params,
     enhancement_factor,
     memory_retrieval_efficiency,
+    p4c_feedback_by_n,
     p4c_feedback_closed_form,
     p4c_no_feedback,
     run_protocol_trial,
@@ -263,6 +264,67 @@ def test_enhancement_monotone_in_tau_and_n():
         more = enhancement_factor(replace(params, n_write_max=params.n_write_max + 1))
         assert longer >= base - 1e-12
         assert more >= base - 1e-12
+
+
+gamma0s = st.floats(min_value=0.05, max_value=1.0)
+# sparse and dense idealized sources (at p = 0.9 the depletion (qa*qb)**d
+# underflows within a few hundred gaps), chi-specified shapes, dark counts
+column_sources = st.one_of(
+    st.builds(SourceParams, gamma0=gamma0s, p_as=st.floats(min_value=1e-4, max_value=0.05)),
+    st.builds(SourceParams, gamma0=gamma0s, p_as=st.floats(min_value=0.05, max_value=0.9)),
+    st.builds(
+        SourceParams,
+        gamma0=gamma0s,
+        chi=st.floats(min_value=0.0, max_value=0.3),
+        eta_as=st.floats(min_value=0.2, max_value=1.0),
+    ),
+    st.builds(
+        SourceParams,
+        gamma0=gamma0s,
+        p_as=st.floats(min_value=0.01, max_value=0.3),
+        eta_as=st.floats(min_value=0.5, max_value=1.0),
+        dark_click_prob=st.floats(min_value=0.0, max_value=0.05),
+    ),
+)
+
+
+@given(
+    source_a=column_sources,
+    source_b=column_sources,
+    tau_c_us=st.floats(min_value=0.5, max_value=300.0),
+    latency_ns=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3000.0)),
+    decay_model=st.sampled_from(list(DecayModel)),
+    ns=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=6),
+    extra=st.integers(min_value=1, max_value=3000),
+)
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_column_entries_bit_identical(
+    source_a, source_b, tau_c_us, latency_ns, decay_model, ns, extra
+):
+    # each entry is the same float whichever other N share the list, and
+    # equals the scalar closed form at that N
+    params = ProtocolParams(
+        source_a=source_a,
+        source_b=source_b,
+        tau_c_us=tau_c_us,
+        latency_ns=latency_ns,
+        decay_model=decay_model,
+    )
+    column = p4c_feedback_by_n(params, ns).tolist()
+    widened = p4c_feedback_by_n(params, [extra, *reversed(ns)]).tolist()
+    assert widened[1:] == column[::-1]
+    for n, value in zip(ns, column):
+        assert value == p4c_feedback_by_n(params, [n])[0]
+        assert value == p4c_feedback_closed_form(replace(params, n_write_max=n))
+    small = min(ns)
+    if small <= 20:
+        point = replace(params, n_write_max=small)
+        assert column[ns.index(small)] == pytest.approx(p4c_brute_force(point), rel=1e-12)
+
+
+def test_column_rejects_empty_budget():
+    with pytest.raises(ValueError, match="n_write_max"):
+        p4c_feedback_by_n(default_params(), [12, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,35 @@ def test_record_table_matches_per_cell_formatting(tmp_path):
     assert (tmp_path / "table.csv").read_text() == "\n".join(expected) + "\n"
 
 
+def test_generic_table_matches_per_cell_formatting(tmp_path):
+    # columns of python and numpy ints, bools and floats, and one column
+    # mixing ints and floats, which keeps per-cell formatting
+    rng = np.random.default_rng(6)
+    specials = [0.0, -0.0, 5e-324, -2.2e-310, 1e300, -1e300, 3.0, -7.0, 1e10, 2.0**53,
+                123456789012.0, math.nan, math.inf, -math.inf]
+    scales = 10.0 ** rng.integers(-300, 300, 2000)
+    floats = specials + (rng.standard_normal(2000) * scales).tolist()
+    ints = [0, -5, 7, 10**10, -(2**62), 2**63 - 1] + rng.integers(-(10**12), 10**12, 2008).tolist()
+    n = len(floats)
+    rows = [
+        (
+            ints[k],
+            np.int64(ints[k]),
+            k % 3 == 0,
+            np.bool_(k % 2),
+            floats[k],
+            np.float64(floats[-1 - k]),
+            ints[k] if k % 2 else floats[k],
+        )
+        for k in range(n)
+    ]
+    table = DataTable(tuple("abcdefg"), rows)
+    summary, _ = run_text("scenario = enhancement\n")
+    emit_outputs(summary, table, tmp_path)
+    expected = [",".join(table.columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    assert (tmp_path / "table.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_domain_error_carries_scenario_context():
     with pytest.raises(ValueError, match="hom_scan"):
         run_text("scenario = hom_scan\nhom.p_i1 = 0\nhom.p_i2 = 0\n")
@@ -363,6 +392,23 @@ def test_cli_trials_override(tmp_path):
     assert doc["metrics"]["trials"] == 1000
     assert doc["metrics"]["p4c_hat"] <= 1.0
     assert not math.isnan(doc["metrics"]["std_err"])
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("enhancement.n_write_max_list", "0"),
+        ("enhancement.n_write_max_list", "-3"),
+        ("enhancement.n_write_max_list", "5, 0"),
+        ("enhancement.tau_c_us_list", "0"),
+        ("enhancement.tau_c_us_list", "12, -1.5"),
+    ],
+)
+def test_cli_rejects_bad_sweep_values(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, f"scenario = enhancement\n{key} = {value}\n")
+    assert main(["enhancement", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"(key: {key} line: 2)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
