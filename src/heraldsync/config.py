@@ -3,20 +3,22 @@
 Configs are flat UTF-8 text, one ``dotted.key = value`` per line, with
 ``#`` comment lines.  Every key has a shipped default, so a minimal
 config needs only ``scenario``.  Unknown and duplicate keys are rejected;
-all errors carry the offending key and line number.
+all errors carry the offending key and line number.  Beyond five
+top-level keys, the keys and defaults are read off the shipped profile
+(:func:`_schema`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping
 
-from .interference import AnalyzerSettings, ScanDomain
+from .interference import AnalyzerSettings, ScanDomain, TemporalMode, _two_photon_rates
 from .photon_stats import SourceParams
-from .protocol import DecayModel, ProtocolParams
+from .protocol import ProtocolParams, default_params
 
 __all__ = [
     "ConfigError",
@@ -46,11 +48,9 @@ class ConfigError(ValueError):
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
         self.key = key
         self.line = line
-        parts = [message]
         if key is not None:
-            parts.append(f"(key: {key}")
-            parts.append(f"line: {line})" if line is not None else ")")
-        super().__init__(" ".join(parts))
+            message += f" (key: {key})" if line is None else f" (key: {key} line: {line})"
+        super().__init__(message)
 
 
 class Scenario(Enum):
@@ -67,32 +67,43 @@ class ChshMode(Enum):
 
 @dataclass(frozen=True)
 class HomSettings:
-    domain: ScanDomain
-    half_range_ns: float
-    half_range_mhz: float
-    points: int
-    coherence_fwhm_ns: float
-    alpha1: float
-    alpha2: float
-    p_i1: float
-    p_i2: float
+    domain: ScanDomain = ScanDomain.TIME
+    half_range_ns: float = 50.0
+    half_range_mhz: float = 30.0
+    points: int = 61
+    coherence_fwhm_ns: float = 25.0
+    alpha1: float = 0.12
+    alpha2: float = 0.17
+    p_i1: float = 1.0
+    p_i2: float = 1.0
+
+    def __post_init__(self) -> None:
+        TemporalMode(coherence_fwhm_ns=self.coherence_fwhm_ns)
+        _two_photon_rates(self.alpha1, self.alpha2, self.p_i1, self.p_i2)
+        for name in ("half_range_ns", "half_range_mhz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 @dataclass(frozen=True)
 class ChshSettings:
-    mode: ChshMode
-    settings: AnalyzerSettings
-    alpha1: float
-    alpha2: float
-    p_i1: float
-    p_i2: float
-    n_events: int
+    mode: ChshMode = ChshMode.ANALYTIC
+    settings: AnalyzerSettings = AnalyzerSettings()
+    alpha1: float = 0.12
+    alpha2: float = 0.17
+    p_i1: float = 1.0
+    p_i2: float = 1.0
+    n_events: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        _two_photon_rates(self.alpha1, self.alpha2, self.p_i1, self.p_i2)
 
 
 @dataclass(frozen=True)
 class EnhancementSettings:
-    tau_c_us_list: tuple[float, ...] | None
-    n_write_max_list: tuple[int, ...] | None
+    tau_c_us_list: tuple[float, ...] | None = None
+    n_write_max_list: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -156,61 +167,55 @@ def _parse_list(item: Callable[[str], Any]) -> Callable[[str], tuple]:
     return lambda text: tuple(item(part.strip()) for part in text.split(","))
 
 
-@dataclass(frozen=True)
-class _KeySpec:
-    parse: Callable[[str], Any]
-    default: Any = None
-    required: bool = False
+def _parse_like(default: Any) -> Callable[[str], Any]:
+    """Parser for a key whose shipped default is ``default``."""
+    if isinstance(default, Enum):
+        return _parse_enum(type(default))
+    if isinstance(default, bool):
+        return _parse_bool
+    return _parse_float  # a float, or None for an optional float
 
 
-def _source_keys(tag: str) -> dict[str, _KeySpec]:
-    prefix = f"protocol.source_{tag}."
-    return {
-        prefix + "p_as": _KeySpec(_parse_float, default=2.0e-3),
-        prefix + "chi": _KeySpec(_parse_float),
-        prefix + "eta_as": _KeySpec(_parse_float),
-        prefix + "gamma0": _KeySpec(_parse_float, default=0.08),
-        prefix + "alpha_override": _KeySpec(_parse_float),
-        prefix + "dark_click_prob": _KeySpec(_parse_float, default=0.0),
-    }
-
-
-_KEYS: dict[str, _KeySpec] = {
-    "scenario": _KeySpec(_parse_enum(Scenario), required=True),
-    "seed": _KeySpec(_parse_int_in(0, 2**64 - 1), default=DEFAULT_SEED),
-    "trials": _KeySpec(_parse_int_in(1, 2**63 - 1), default=100_000),
-    "output_path": _KeySpec(str, default="out"),
-    "protocol.n_write_max": _KeySpec(_parse_int_in(1, N_WRITE_MAX_CAP), default=12),
-    "protocol.dt_write_ns": _KeySpec(_parse_float, default=800.0),
-    "protocol.dt_read_ns": _KeySpec(_parse_float, default=400.0),
-    "protocol.tau_c_us": _KeySpec(_parse_float, default=12.0),
-    "protocol.decay_model": _KeySpec(_parse_enum(DecayModel), default=DecayModel.GAUSSIAN_HALF),
-    "protocol.latency_ns": _KeySpec(_parse_float, default=0.0),
-    **_source_keys("a"),
-    **_source_keys("b"),
-    "enhancement.tau_c_us_list": _KeySpec(_parse_list(_parse_positive)),
-    "enhancement.n_write_max_list": _KeySpec(_parse_list(_parse_int_in(1, N_WRITE_MAX_CAP))),
-    "hom.domain": _KeySpec(_parse_enum(ScanDomain), default=ScanDomain.TIME),
-    "hom.half_range_ns": _KeySpec(_parse_float, default=50.0),
-    "hom.half_range_mhz": _KeySpec(_parse_float, default=30.0),
-    "hom.points": _KeySpec(_parse_int_in(2, HOM_POINTS_CAP), default=61),
-    "hom.coherence_fwhm_ns": _KeySpec(_parse_float, default=25.0),
-    "hom.alpha1": _KeySpec(_parse_float, default=0.12),
-    "hom.alpha2": _KeySpec(_parse_float, default=0.17),
-    "hom.p_i1": _KeySpec(_parse_float, default=1.0),
-    "hom.p_i2": _KeySpec(_parse_float, default=1.0),
-    "chsh.mode": _KeySpec(_parse_enum(ChshMode), default=ChshMode.ANALYTIC),
-    "chsh.theta1_deg": _KeySpec(_parse_float, default=0.0),
-    "chsh.theta1_prime_deg": _KeySpec(_parse_float, default=45.0),
-    "chsh.theta2_deg": _KeySpec(_parse_float, default=67.5),
-    "chsh.theta2_prime_deg": _KeySpec(_parse_float, default=22.5),
-    "chsh.alpha1": _KeySpec(_parse_float, default=0.12),
-    "chsh.alpha2": _KeySpec(_parse_float, default=0.17),
-    "chsh.p_i1": _KeySpec(_parse_float, default=1.0),
-    "chsh.p_i2": _KeySpec(_parse_float, default=1.0),
-    "chsh.n_events": _KeySpec(_parse_int_in(1, 2**63 - 1), default=1_000_000),
-    "protocol_sim.record_trials": _KeySpec(_parse_bool, default=False),
+# Keys whose parser the type of their default cannot give.
+_PARSERS: dict[str, Callable[[str], Any]] = {
+    "protocol.n_write_max": _parse_int_in(1, N_WRITE_MAX_CAP),
+    "enhancement.tau_c_us_list": _parse_list(_parse_positive),
+    "enhancement.n_write_max_list": _parse_list(_parse_int_in(1, N_WRITE_MAX_CAP)),
+    "hom.points": _parse_int_in(2, HOM_POINTS_CAP),
+    "chsh.n_events": _parse_int_in(1, 2**63 - 1),
 }
+
+
+def _schema() -> dict[str, tuple[Callable[[str], Any], Any]]:
+    """Every key with its parser and default; ``scenario`` has no default."""
+    protocol = default_params()
+    keys: dict[str, tuple[Callable[[str], Any], Any]] = {
+        "scenario": (_parse_enum(Scenario), None),
+        "seed": (_parse_int_in(0, 2**64 - 1), DEFAULT_SEED),
+        "trials": (_parse_int_in(1, 2**63 - 1), 100_000),
+        "output_path": (str, "out"),
+        "protocol_sim.record_trials": (_parse_bool, False),
+    }
+    sections = (
+        ("protocol.", protocol),
+        ("protocol.source_a.", protocol.source_a),
+        ("protocol.source_b.", protocol.source_b),
+        ("enhancement.", EnhancementSettings()),
+        ("hom.", HomSettings()),
+        ("chsh.", ChshSettings()),
+        ("chsh.", AnalyzerSettings()),
+    )
+    for prefix, section in sections:
+        for f in fields(section):
+            default = getattr(section, f.name)
+            # Nested settings (the sources, the analyzers) are sections of their own.
+            if not is_dataclass(default):
+                key = prefix + f.name
+                keys[key] = (_PARSERS.get(key) or _parse_like(default), default)
+    return keys
+
+
+_KEYS = _schema()
 
 
 def _render_value(value: Any) -> str:
@@ -236,8 +241,8 @@ def _hash_resolved(resolved: Mapping[str, Any]) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def _scan_pairs(text: str) -> dict[str, tuple[str, int]]:
-    pairs: dict[str, tuple[str, int]] = {}
+def _scan_pairs(text: str) -> dict[str, tuple[str, int | None]]:
+    pairs: dict[str, tuple[str, int | None]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -259,21 +264,26 @@ def _scan_pairs(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _section(cls, prefix: str, resolved: Mapping[str, Any], **given: Any):
-    """``cls`` with each field read from key ``prefix + name``, except ``given``."""
-    values = {f.name: resolved[prefix + f.name] for f in fields(cls) if f.name not in given}
-    return cls(**values, **given)
+def _section(cls, prefix: str, resolved: Mapping[str, Any], pairs: Mapping, **given: Any):
+    """``cls`` with each field read from key ``prefix + name``, except ``given``.
+
+    A failed check is reported at the field its message starts with, else at the section.
+    """
+    names = [f.name for f in fields(cls) if f.name not in given]
+    try:
+        return cls(**{name: resolved[prefix + name] for name in names}, **given)
+    except ValueError as exc:
+        first = str(exc).split(" ", 1)[0]
+        key = prefix + first if first in names else prefix.rstrip(".")
+        raise ConfigError(str(exc), key=key, line=pairs.get(key, ("", None))[1]) from exc
 
 
-def _build_source(resolved: dict[str, Any], tag: str, explicit: set[str]) -> SourceParams:
+def _build_source(resolved: dict[str, Any], pairs: Mapping, tag: str) -> SourceParams:
     prefix = f"protocol.source_{tag}."
     # The p_as default backs off when the source is specified through chi.
-    if resolved[prefix + "chi"] is not None and (prefix + "p_as") not in explicit:
+    if resolved[prefix + "chi"] is not None and (prefix + "p_as") not in pairs:
         resolved[prefix + "p_as"] = None
-    try:
-        return _section(SourceParams, prefix, resolved)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key=prefix.rstrip(".")) from exc
+    return _section(SourceParams, prefix, resolved, pairs)
 
 
 def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunConfig:
@@ -288,41 +298,28 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         for key, value in overrides.items():
             if key not in _KEYS:
                 raise ConfigError("unknown override key", key=key)
-            pairs[key] = (value, 0)
+            pairs[key] = (value, None)
 
-    explicit = set(pairs)
-    resolved: dict[str, Any] = {}
-    for key, spec in _KEYS.items():
-        if key in pairs:
-            raw, line_no = pairs[key]
-            try:
-                resolved[key] = spec.parse(raw)
-            except ValueError as exc:
-                raise ConfigError(str(exc), key=key, line=line_no or None) from exc
-        elif spec.required:
-            raise ConfigError("missing required key", key=key)
-        else:
-            resolved[key] = spec.default
+    resolved = {key: default for key, (_, default) in _KEYS.items()}
+    for key, (raw, line_no) in pairs.items():
+        try:
+            resolved[key] = _KEYS[key][0](raw)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key, line=line_no) from exc
+    if resolved["scenario"] is None:
+        raise ConfigError("missing required key", key="scenario")
 
-    source_a = _build_source(resolved, "a", explicit)
-    source_b = _build_source(resolved, "b", explicit)
-    try:
-        protocol = _section(
-            ProtocolParams, "protocol.", resolved, source_a=source_a, source_b=source_b
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="protocol") from exc
-
-    analyzers = _section(AnalyzerSettings, "chsh.", resolved)
+    sources = {f"source_{tag}": _build_source(resolved, pairs, tag) for tag in ("a", "b")}
+    analyzers = _section(AnalyzerSettings, "chsh.", resolved, pairs)
     return RunConfig(
         scenario=resolved["scenario"],
         seed=resolved["seed"],
         trials=resolved["trials"],
         output_path=resolved["output_path"],
         record_trials=resolved["protocol_sim.record_trials"],
-        protocol=protocol,
-        enhancement=_section(EnhancementSettings, "enhancement.", resolved),
-        hom=_section(HomSettings, "hom.", resolved),
-        chsh=_section(ChshSettings, "chsh.", resolved, settings=analyzers),
+        protocol=_section(ProtocolParams, "protocol.", resolved, pairs, **sources),
+        enhancement=_section(EnhancementSettings, "enhancement.", resolved, pairs),
+        hom=_section(HomSettings, "hom.", resolved, pairs),
+        chsh=_section(ChshSettings, "chsh.", resolved, pairs, settings=analyzers),
         config_hash=_hash_resolved(resolved),
     )

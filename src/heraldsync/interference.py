@@ -49,7 +49,6 @@ class TemporalMode:
     arrival_offset_ns: float = 0.0
     coherence_fwhm_ns: float = 25.0
     frequency_offset_mhz: float = 0.0
-    polarization_angle_deg: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.coherence_fwhm_ns) and self.coherence_fwhm_ns > 0.0):

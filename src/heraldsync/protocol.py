@@ -390,6 +390,6 @@ def simulate_campaign_records(
 
 
 def default_params() -> ProtocolParams:
-    """Shipped default protocol profile (see the configuration reference)."""
+    """The shipped profile, which the config reads every ``protocol.*`` default off."""
     source = SourceParams(gamma0=0.08, p_as=2.0e-3)
     return ProtocolParams(source_a=source, source_b=source)

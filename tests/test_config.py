@@ -1,17 +1,25 @@
 """Tests for config parsing, validation, and hashing."""
 
+from pathlib import Path
+
 import pytest
 
 from heraldsync.config import (
+    _KEYS,
     HOM_POINTS_CAP,
     N_WRITE_MAX_CAP,
     ChshMode,
+    ChshSettings,
     ConfigError,
+    EnhancementSettings,
+    HomSettings,
     Scenario,
     parse_config,
 )
 from heraldsync.interference import ScanDomain
-from heraldsync.protocol import DecayModel
+from heraldsync.protocol import DecayModel, default_params
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = "scenario = enhancement\n"
 
@@ -198,3 +206,76 @@ def test_override_unknown_key():
 def test_override_bad_value():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL, overrides={"seed": "fast"})
+
+
+def test_defaults_are_the_shipped_profile():
+    config = parse_config(MINIMAL)
+    assert config.protocol == default_params()
+    assert config.enhancement == EnhancementSettings()
+    assert config.hom == HomSettings()
+    assert config.chsh == ChshSettings()
+
+
+def _readme_key_table() -> dict[str, str]:
+    """Key -> default cell of README's key table, ``protocol.source_b.*`` expanded."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Keys and defaults", 1)[1].split("\n### ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, default = (cell.strip() for cell in line.split("|")[1:3])
+            rows[key.strip("`")] = default
+    source_b = rows.pop("protocol.source_b.*")
+    assert source_b == "same as `source_a`"
+    for key in [k for k in rows if k.startswith("protocol.source_a.")]:
+        rows[key.replace("source_a", "source_b")] = rows[key]
+    return rows
+
+
+def test_readme_key_table_matches_schema():
+    rows = _readme_key_table()
+    assert set(rows) == set(_KEYS)
+    for key, cell in rows.items():
+        parse, default = _KEYS[key]
+        if cell == "(required)":
+            assert key == "scenario" and default is None
+        elif cell == "unset":
+            assert default is None, key
+        else:
+            value = parse(cell.strip("`"))
+            assert value == default and type(value) is type(default), key
+
+
+def test_section_check_names_field_key_and_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("scenario = enhancement\nprotocol.tau_c_us = 0\n")
+    assert err.value.key == "protocol.tau_c_us"
+    assert err.value.line == 2
+    assert str(err.value).endswith("(key: protocol.tau_c_us line: 2)")
+
+
+def test_key_without_line_has_no_stray_space():
+    text = "scenario = protocol_sim\nprotocol.source_a.chi = 0.05\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == "protocol.source_a.eta_as"
+    assert err.value.line is None
+    assert str(err.value).endswith("(key: protocol.source_a.eta_as)")
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL, overrides={"seed": "-1"})
+    assert str(err.value).endswith("(key: seed)")
+
+
+@pytest.mark.parametrize("scenario", [s.value for s in Scenario])
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("hom.coherence_fwhm_ns", "0"),
+        ("hom.half_range_mhz", "-1"),
+        ("chsh.alpha1", "-1"),
+    ],
+)
+def test_hom_and_chsh_checked_in_every_scenario(scenario, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"scenario = {scenario}\n{key} = {value}\n")
+    assert (err.value.key, err.value.line) == (key, 2)

@@ -356,6 +356,28 @@ def test_cli_domain_error(tmp_path):
     assert main(["hom_scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("hom.half_range_ns", "-5"),
+        ("hom.half_range_mhz", "-1"),
+        ("hom.coherence_fwhm_ns", "0"),
+        ("hom.alpha1", "-1"),
+        ("hom.p_i2", "-0.5"),
+        ("chsh.alpha2", "-1"),
+        ("chsh.p_i1", "-2"),
+    ],
+)
+def test_cli_rejects_bad_hom_and_chsh_values(tmp_path, capsys, key, value):
+    # Each value is a finite float, so only the section's own check rejects it.
+    scenario = "chsh" if key.startswith("chsh.") else "hom_scan"
+    rest = "hom.domain = frequency\n" if key == "hom.half_range_mhz" else ""
+    cfg = write_config(tmp_path, f"scenario = {scenario}\n{key} = {value}\n{rest}")
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"(key: {key} line: 2)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_seed_override_changes_outputs(tmp_path):
     cfg = write_config(
         tmp_path, "scenario = chsh\nchsh.mode = sampled\nchsh.n_events = 5000\n"
