@@ -11,8 +11,11 @@ model and the vectorized Monte Carlo campaign.
 Closed forms and simulators describe the same stochastic process: the
 per-node read success at hold time t is sum_n q[n]*(1-(1-gamma(t))**n)
 over the heralded excitation shape q, which reduces to gamma(t) for a
-single-excitation memory.  All three take hold times from :func:`_holds`;
-the trial and the campaign share the retrieval sampler :func:`_retrieved`.
+single-excitation memory.  All three take hold times from :func:`_holds`.
+The closed form and the campaign share the per-gap read success
+:func:`_wait_success`: the campaign draws one uniform per jointly
+heralded trial against its product.  The trial alone samples retrieval
+excitation by excitation (:func:`_retrieved`), as an independent check.
 """
 
 from __future__ import annotations
@@ -130,6 +133,20 @@ def _holds(params: ProtocolParams, attempt_a, attempt_b) -> tuple:
     return tuple((later - i) * params.dt_write_ns + overhead for i in (attempt_a, attempt_b))
 
 
+def _wait_success(params: ProtocolParams, d) -> tuple:
+    """Each node's read success when it heralded ``d`` slots before its peer.
+
+    The earlier node holds for the gap plus the rendezvous overhead; at
+    ``d = 0`` this is the later node's read success.  Both sources must
+    herald with nonzero probability.
+    """
+    t_wait = _holds(params, 0, d)[0]
+    return tuple(
+        _read_success(source.heralded_shape(), params.gamma_at(source, t_wait))
+        for source in (params.source_a, params.source_b)
+    )
+
+
 def p4c_no_feedback(params: ProtocolParams) -> float:
     """Four-fold coincidence probability of a single write/read per trial.
 
@@ -174,11 +191,7 @@ def p4c_feedback_by_n(params: ProtocolParams, ns) -> np.ndarray:
     qa, qb = 1.0 - pa, 1.0 - pb
 
     d = np.arange(n_max, dtype=float)
-    t_wait = _holds(params, 0, d)[0]  # the earlier node's hold at gap d
-    ra_wait, rb_wait = (
-        _read_success(source.heralded_shape(), params.gamma_at(source, t_wait))
-        for source in (params.source_a, params.source_b)
-    )
+    ra_wait, rb_wait = _wait_success(params, d)
     ra0, rb0 = float(ra_wait[0]), float(rb_wait[0])  # hold = overhead
     terms = np.stack([qb**d * ra_wait, qa**d * rb_wait])  # A first, B first
 
@@ -326,32 +339,43 @@ def _heralds(rng: np.random.Generator, p: float, n_max: int, m: int):
     return positions, np.minimum(attempts, n_max - 1, out=attempts).astype(np.int64)
 
 
+def _four_fold_table(params: ProtocolParams) -> np.ndarray:
+    """P(four-fold | both heralded) at index ``attempt_b - attempt_a + N - 1``.
+
+    Retrieval at the two nodes is independent given their holds, so each
+    entry is r_a * r_b from :func:`_wait_success`, the closed form's gap
+    terms: the node that heralded first waits the gap, its peer none.
+    """
+    d = np.arange(params.n_write_max, dtype=float)
+    ra_wait, rb_wait = _wait_success(params, d)
+    return np.concatenate([ra_wait[0] * rb_wait[:0:-1], ra_wait * rb_wait[0]])
+
+
 def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterator[tuple]:
-    """Yield ``(offset, size, heralds, joint, holds, four_fold)`` per chunk.
+    """Yield ``(offset, size, heralds, joint, attempts, four_fold)`` per chunk.
 
     Chunk c draws from the substream (seed, c).  ``heralds`` holds each
-    node's ``(positions, attempts)``; the rest covers the joint heralds.
+    node's ``(positions, attempts)``; ``joint`` the trials where both
+    heralded, ``attempts`` both nodes' attempts there.  Each joint trial
+    draws one uniform against :func:`_four_fold_table` at its signed gap.
     """
     sources = (params.source_a, params.source_b)
+    n_max = params.n_write_max
+    # a source that never heralds has no heralded shape, and no joint trials
+    table = _four_fold_table(params) if min(s.herald_prob for s in sources) > 0.0 else np.empty(0)
     for c in range((n_trials + _CHUNK_SIZE - 1) // _CHUNK_SIZE):
         m = min(_CHUNK_SIZE, n_trials - c * _CHUNK_SIZE)
         rng = np.random.default_rng([seed, c])
-        heralds = [_heralds(rng, s.herald_prob, params.n_write_max, m) for s in sources]
+        heralds = [_heralds(rng, s.herald_prob, n_max, m) for s in sources]
         (pos_a, att_a), (pos_b, att_b) = heralds
         both = np.zeros(m, dtype=np.int8)
         both[pos_a] = 1
         both[pos_b] += 1
-        in_b, in_a = both[pos_a] == 2, both[pos_b] == 2
+        in_b = both[pos_a] == 2
         joint = pos_a[in_b]
-        holds = _holds(params, att_a[in_b], att_b[in_a])
-        four_fold = np.ones(joint.size, dtype=bool)
-        for source, hold in zip(sources, holds):
-            if not joint.size:
-                break  # a source that never heralds has no heralded shape
-            draws = rng.random((3, joint.size))
-            retrieved = _retrieved(source.heralded_shape(), params.gamma_at(source, hold), draws)
-            four_fold &= retrieved > 0
-        yield c * _CHUNK_SIZE, m, heralds, joint, holds, four_fold
+        attempts = att_a[in_b], att_b[both[pos_b] == 2]
+        four_fold = rng.random(joint.size) < table[attempts[1] - attempts[0] + (n_max - 1)]
+        yield c * _CHUNK_SIZE, m, heralds, joint, attempts, four_fold
 
 
 def _campaign(params: ProtocolParams, n_trials: int, seed: int, record: bool):
@@ -361,12 +385,13 @@ def _campaign(params: ProtocolParams, n_trials: int, seed: int, record: bool):
     records[:] = (0, -1, -1, np.nan, np.nan, False)
     records["trial"] = np.arange(records.size)
     count = 0
-    for lo, m, heralds, joint, holds, four_fold in _campaign_chunks(params, n_trials, seed):
+    for lo, m, heralds, joint, attempts, four_fold in _campaign_chunks(params, n_trials, seed):
         count += int(np.count_nonzero(four_fold))
         if record:
             block = records[lo : lo + m]
-            for tag, (positions, attempts), hold in zip("ab", heralds, holds):
-                block[f"herald_{tag}"][positions] = attempts
+            holds = _holds(params, *attempts)
+            for tag, (positions, attempt), hold in zip("ab", heralds, holds):
+                block[f"herald_{tag}"][positions] = attempt
                 block[f"hold_{tag}_ns"][joint] = hold
             block["four_fold"][joint] = four_fold
     return CoincidenceStats.from_counts(n_trials, count), records

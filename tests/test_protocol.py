@@ -5,14 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
 from heraldsync.photon_stats import FockDistribution, SourceParams
 from heraldsync.protocol import (
     _CHUNK_SIZE,
+    _four_fold_table,
     _retrieved,
+    _wait_success,
     CoincidenceStats,
     DecayModel,
     ProtocolParams,
@@ -463,31 +465,53 @@ DENSE_DARK = ProtocolParams(
 )
 
 
+def herald_within(p: float, n_max: int) -> float:
+    """P = 1 - (1-p)**N: a node heralds within its write budget."""
+    return -math.expm1(n_max * math.log1p(-p))
+
+
+def p_for_herald_within(big_p: float, n_max: int) -> float:
+    """The per-attempt probability at which a node heralds with ``big_p``."""
+    return -math.expm1(math.log1p(-big_p) / n_max)
+
+
+def assert_heralds_follow_law(records, column, p, n_max):
+    # herald count ~ Binomial(n, 1-(1-p)^N), attempt index ~ the geometric
+    # law truncated to N attempts; 1e-3 level
+    big_p = herald_within(p, n_max)
+    attempts = records[column][records[column] >= 0]
+    k, n = attempts.size, records.size
+    tail = min(sps.binom.cdf(k, n, big_p), sps.binom.sf(k - 1, n, big_p))
+    assert 2.0 * tail > 1e-3, (column, k, n * big_p)
+    if n_max > 1:
+        law = p * (1.0 - p) ** np.arange(n_max) / big_p
+        observed = np.bincount(attempts, minlength=n_max)
+        assert sps.chisquare(observed, k * law / law.sum()).pvalue > 1e-3, column
+
+
+# pairs whose P = 1-(1-p)^N sits just below 1/2, just above it, and one
+# of each
+BELOW_HALF = p_for_herald_within(0.45, 6)
+ABOVE_HALF = p_for_herald_within(0.55, 6)
+
+
 @pytest.mark.parametrize(
     "params",
     [
         pytest.param(default_params(), id="sparse"),
         pytest.param(DENSE_DARK, id="dense-dark"),
         pytest.param(make_params(p_a=0.3, p_b=0.05, n_write_max=1), id="n1"),
+        pytest.param(make_params(p_a=BELOW_HALF, p_b=BELOW_HALF, n_write_max=6), id="below-half"),
+        pytest.param(make_params(p_a=ABOVE_HALF, p_b=ABOVE_HALF, n_write_max=6), id="above-half"),
+        pytest.param(make_params(p_a=ABOVE_HALF, p_b=BELOW_HALF, n_write_max=6), id="mixed"),
     ],
 )
 def test_herald_sampler_matches_binomial_and_truncated_geometric(params):
-    # per node: herald count ~ Binomial(n, 1-(1-p)^N), attempt index ~ the
-    # geometric law truncated to N attempts; fixed seed, 1e-3 level
+    # per node, on a fixed seed, at the 1e-3 level
     stats, records = simulate_campaign_records(params, HERALD_TRIALS, seed=77)
     check_records(params, stats, records, HERALD_TRIALS)
-    n_max = params.n_write_max
     for source, column in ((params.source_a, "herald_a"), (params.source_b, "herald_b")):
-        p = source.herald_prob
-        big_p = -math.expm1(n_max * math.log1p(-p))
-        attempts = records[column][records[column] >= 0]
-        k = attempts.size
-        tail = min(sps.binom.cdf(k, HERALD_TRIALS, big_p), sps.binom.sf(k - 1, HERALD_TRIALS, big_p))
-        assert 2.0 * tail > 1e-3, (column, k, HERALD_TRIALS * big_p)
-        if n_max > 1:
-            law = p * (1.0 - p) ** np.arange(n_max) / big_p
-            observed = np.bincount(attempts, minlength=n_max)
-            assert sps.chisquare(observed, k * law / law.sum()).pvalue > 1e-3, column
+        assert_heralds_follow_law(records, column, source.herald_prob, params.n_write_max)
 
 
 def test_herald_sampler_extremes():
@@ -502,6 +526,74 @@ def test_herald_sampler_extremes():
         assert stats.four_fold_count == 0 and not records["four_fold"].any()
     certain = make_params(p_a=1.0, p_b=1.0, gamma0=1.0, tau_c_us=1e9)
     assert simulate_campaign(certain, HERALD_TRIALS, seed=3).four_fold_count == HERALD_TRIALS
+    # the same extremes beside a partner that heralds in most trials
+    # (P = 0.986), on either node
+    partner = 0.3
+    for extreme, attempt in ((1.0, 0), (0.0, -1), (1e-300, -1)):
+        for tag, pair in (("a", (extreme, partner)), ("b", (partner, extreme))):
+            params = make_params(p_a=pair[0], p_b=pair[1])
+            stats, records = simulate_campaign_records(params, HERALD_TRIALS, seed=3)
+            check_records(params, stats, records, HERALD_TRIALS)
+            assert np.all(records[f"herald_{tag}"] == attempt)
+            other = "herald_b" if tag == "a" else "herald_a"
+            assert_heralds_follow_law(records, other, partner, params.n_write_max)
+            if attempt < 0:
+                assert stats.four_fold_count == 0
+
+
+@pytest.mark.parametrize("params", BRUTE_FORCE_CASES + LATENCY_CASES)
+def test_four_fold_table_is_the_closed_form_gap_terms(params):
+    # the campaign's per-gap success is the closed form's r_a * r_b at that
+    # gap, from the same helper, so equal to the last bit; weighted by the
+    # attempt law it sums back to the closed form
+    n = params.n_write_max
+    ra_wait, rb_wait = _wait_success(params, np.arange(n, dtype=float))
+    table = _four_fold_table(params)
+    assert table.shape == (2 * n - 1,)
+    for g in range(-(n - 1), n):
+        expected = ra_wait[g] * rb_wait[0] if g >= 0 else ra_wait[0] * rb_wait[-g]
+        assert table[g + n - 1] == expected, g
+    pa, pb = params.source_a.herald_prob, params.source_b.herald_prob
+    i = np.arange(n)
+    weight_a, weight_b = pa * (1.0 - pa) ** i, pb * (1.0 - pb) ** i
+    gaps = i[None, :] - i[:, None] + n - 1  # [attempt_a, attempt_b]
+    total = (weight_a[:, None] * weight_b[None, :] * table[gaps]).sum()
+    assert total == pytest.approx(p4c_feedback_closed_form(params), rel=1e-12)
+
+
+# a two-excitation memory beside a single-excitation one, so that the
+# table is not symmetric in the gap and a swapped orientation shows
+ASYMMETRIC_DENSE = ProtocolParams(
+    source_a=SourceParams(gamma0=0.9, chi=0.3, eta_as=1.0),
+    source_b=SourceParams(gamma0=0.3, p_as=0.3),
+    n_write_max=8,
+    tau_c_us=2.0,
+    decay_model=DecayModel.EXPONENTIAL,
+)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [pytest.param(DENSE_DARK, id="dense-dark"), pytest.param(ASYMMETRIC_DENSE, id="asymmetric")],
+)
+def test_records_four_fold_per_gap_matches_table(params):
+    # every signed-gap stratum with >= 500 joint trials has a four-fold
+    # fraction consistent with its table entry: exact binomial tails,
+    # Bonferroni over the strata at the 1e-3 level
+    n = params.n_write_max
+    _, records = simulate_campaign_records(params, HERALD_TRIALS, seed=41)
+    joint = (records["herald_a"] >= 0) & (records["herald_b"] >= 0)
+    gap = records["herald_b"][joint] - records["herald_a"][joint]
+    hits = records["four_fold"][joint]
+    table = _four_fold_table(params)
+    strata = [g for g in range(-(n - 1), n) if np.count_nonzero(gap == g) >= 500]
+    assert len(strata) >= 7
+    for g in strata:
+        size = np.count_nonzero(gap == g)
+        k = np.count_nonzero(hits[gap == g])
+        p = table[g + n - 1]
+        tail = min(sps.binom.cdf(k, size, p), sps.binom.sf(k - 1, size, p))
+        assert 2.0 * tail > 1e-3 / len(strata), (g, k, size * p)
 
 
 herald_probs = st.one_of(
@@ -591,6 +683,77 @@ def z_score(stats: CoincidenceStats, expected: float) -> float:
 )
 def test_campaign_matches_closed_form(params, n_trials):
     stats = simulate_campaign(params, n_trials, seed=2024)
+    assert abs(z_score(stats, p4c_feedback_closed_form(params))) < 4.0
+
+
+CAMPAIGN_PROPERTY_TRIALS = 300_000
+# herald probabilities that put P = 1-(1-p)^N on both sides of 1/2, with
+# memories and holds that leave most examples hundreds of expected counts
+property_gamma0s = st.floats(min_value=0.3, max_value=1.0)
+campaign_sources = st.one_of(
+    st.builds(SourceParams, gamma0=property_gamma0s, p_as=st.floats(min_value=0.08, max_value=0.5)),
+    st.builds(
+        SourceParams,
+        gamma0=property_gamma0s,
+        chi=st.floats(min_value=0.15, max_value=0.3),
+        eta_as=st.floats(min_value=0.4, max_value=1.0),
+    ),
+    st.builds(
+        SourceParams,
+        gamma0=property_gamma0s,
+        p_as=st.floats(min_value=0.08, max_value=0.4),
+        eta_as=st.floats(min_value=0.5, max_value=1.0),
+        dark_click_prob=st.floats(min_value=0.0, max_value=0.05),
+    ),
+)
+
+
+@given(
+    source_a=campaign_sources,
+    source_b=campaign_sources,
+    tau_c_us=st.floats(min_value=1.0, max_value=30.0),
+    n_write_max=st.integers(min_value=1, max_value=12),
+    latency_ns=st.floats(min_value=0.0, max_value=1500.0),
+    decay_model=st.sampled_from(list(DecayModel)),
+)
+# P below 1/2 on both nodes, above it on both, and one of each
+@example(
+    source_a=SourceParams(gamma0=0.6, p_as=0.05),
+    source_b=SourceParams(gamma0=0.5, chi=0.1, eta_as=0.5),
+    tau_c_us=6.0,
+    n_write_max=8,
+    latency_ns=300.0,
+    decay_model=DecayModel.GAUSSIAN_HALF,
+)
+@example(
+    source_a=SourceParams(gamma0=0.5, p_as=0.3, eta_as=0.7, dark_click_prob=0.02),
+    source_b=SourceParams(gamma0=0.8, p_as=0.4),
+    tau_c_us=4.0,
+    n_write_max=6,
+    latency_ns=900.0,
+    decay_model=DecayModel.EXPONENTIAL,
+)
+@example(
+    source_a=SourceParams(gamma0=0.9, p_as=0.4),
+    source_b=SourceParams(gamma0=0.4, p_as=0.05, eta_as=0.6, dark_click_prob=0.01),
+    tau_c_us=12.0,
+    n_write_max=10,
+    latency_ns=0.0,
+    decay_model=DecayModel.GAUSSIAN_HALF,
+)
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_campaign_property_matches_closed_form(
+    source_a, source_b, tau_c_us, n_write_max, latency_ns, decay_model
+):
+    params = ProtocolParams(
+        source_a=source_a,
+        source_b=source_b,
+        n_write_max=n_write_max,
+        tau_c_us=tau_c_us,
+        latency_ns=latency_ns,
+        decay_model=decay_model,
+    )
+    stats = simulate_campaign(params, CAMPAIGN_PROPERTY_TRIALS, seed=2025)
     assert abs(z_score(stats, p4c_feedback_closed_form(params))) < 4.0
 
 

@@ -149,8 +149,8 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
         pytest.param(
             RECORDS + "seed = 11\ntrials = 5000\nprotocol.tau_c_us = 8.0\n"
             "protocol.decay_model = exponential\n" + RECORD_SOURCES_DENSE,
-            "40af2db72a4f13b5c90a626a168b04cd1e7a9561eb817666ef19bb0caa2f061f",
-            "5223872e8838dedfd3d511104a0689075d1c2e0106b8aede081ab75370648f53",
+            "a53c2d488269aad602154910ca4eac1caa9b530c6fd189ee7bdbcc184398ead5",
+            "9da66ac4b2f5df29fd3e923959f0c3660186cae3ec792a7de1f4d5ef37ec1f50",
             id="dense-dark-exponential",
         ),
         pytest.param(
@@ -158,8 +158,8 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
             "protocol.n_write_max = 4\n"
             "protocol.source_a.p_as = 0.1\nprotocol.source_b.p_as = 0.2\n"
             "protocol.source_a.gamma0 = 0.6\nprotocol.source_b.gamma0 = 0.6\n",
-            "a454acd4c47e90167fbf9d2fbadee391158b6d9b2a352266ed9996fcc164a511",
-            "d2c7569c66fa7c953aac6a8b9bbc5bf81e54d2096cd2a0a6bba340f6d8c627b3",
+            "93ab72a6fae977f26c51b2bdbe5f581dcb1a0dac000be56e0f34cf385e5590d3",
+            "a9d1c008e07fcfa0a8548500e81be4308d55d85e8b54666f1cc6e3c9615dd2e1",
             id="latency",
         ),
         pytest.param(
@@ -206,7 +206,7 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
             "protocol.source_a.gamma0 = 0.5\nprotocol.source_b.gamma0 = 0.5\n"
             "protocol.latency_ns = 300.0\n",
             None,
-            "127a735f0538008293c8ff968abf09baf6b95c71ea69149144f792762054e858",
+            "29b6111a0f722f52b559da30d526ae1567d9ad006a4c8f3803767e0ddc56c58f",
             id="protocol-sim-summary",
         ),
     ],
