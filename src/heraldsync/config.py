@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping
 
 from .interference import AnalyzerSettings, ScanDomain, TemporalMode, _two_photon_rates
-from .photon_stats import SourceParams
+from .photon_stats import SourceParams, _check_nonnegative
 from .protocol import ProtocolParams, default_params
 
 __all__ = [
@@ -81,9 +81,7 @@ class HomSettings:
         TemporalMode(coherence_fwhm_ns=self.coherence_fwhm_ns)
         _two_photon_rates(self.alpha1, self.alpha2, self.p_i1, self.p_i2)
         for name in ("half_range_ns", "half_range_mhz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+            _check_nonnegative(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

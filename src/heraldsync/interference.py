@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .photon_stats import _check_nonnegative
+
 __all__ = [
     "TemporalMode",
     "HOMResult",
@@ -104,8 +106,7 @@ class HOMResult:
 
 def _two_photon_rates(alpha1, alpha2, p_i1, p_i2):
     for name, value in (("alpha1", alpha1), ("alpha2", alpha2), ("p_i1", p_i1), ("p_i2", p_i2)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        _check_nonnegative(name, value)
     p2_1 = alpha1 * p_i1 * p_i1 / 2.0
     p2_2 = alpha2 * p_i2 * p_i2 / 2.0
     return p2_1, p2_2
@@ -210,8 +211,7 @@ class EffectiveTwoPhotonState:
 
     def __post_init__(self) -> None:
         for name, w in (("w_singlet", self.w_singlet), ("w_hh", self.w_hh), ("w_vv", self.w_vv)):
-            if w < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {w}")
+            _check_nonnegative(name, w)
         total = self.w_singlet + self.w_hh + self.w_vv
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1")
@@ -295,9 +295,9 @@ def chsh_from_correlations(
     sigma_S adds them in quadrature and n_sigma = (S - 2)/sigma_S.
     """
     es = (e11, e12, e21, e22)
-    for e in es:
-        if abs(e) > 1.0:
-            raise ValueError(f"correlation {e} lies outside [-1, 1]")
+    for name, e in zip(("e11", "e12", "e21", "e22"), es):
+        if not abs(e) <= 1.0:
+            raise ValueError(f"{name} must lie in [-1, 1], got {e}")
     s = abs(e11 - e12 - e21 - e22)
     sigma_e = None
     sigma_s = None
@@ -306,6 +306,8 @@ def chsh_from_correlations(
         if len(sigmas) != 4:
             raise ValueError("need exactly four standard errors")
         sigma_e = tuple(float(x) for x in sigmas)
+        for k, x in enumerate(sigma_e):
+            _check_nonnegative(f"sigmas[{k}]", x)
         sigma_s = math.sqrt(math.fsum(x * x for x in sigma_e))
         n_sigma = (s - 2.0) / sigma_s if sigma_s > 0.0 else math.inf
     return CHSHResult(e=es, sigma_e=sigma_e, s=s, sigma_s=sigma_s, n_sigma=n_sigma)
@@ -318,8 +320,7 @@ def predicted_S(alpha_bar: float) -> float:
     anti-correlation ``alpha_bar``:
     S = (2*sqrt(2) - sqrt(2)*alpha_bar) / (1 + alpha_bar).
     """
-    if not (math.isfinite(alpha_bar) and alpha_bar >= 0.0):
-        raise ValueError(f"alpha_bar must be nonnegative and finite, got {alpha_bar}")
+    _check_nonnegative("alpha_bar", alpha_bar)
     root2 = math.sqrt(2.0)
     return (2.0 * root2 - root2 * alpha_bar) / (1.0 + alpha_bar)
 

@@ -62,6 +62,11 @@ def _check_unit_interval(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def emission_distribution(chi: float) -> FockDistribution:
     """Excitation-number distribution created by one write pulse.
 
@@ -194,12 +199,8 @@ class SourceParams:
             _check_unit_interval("p_as", self.p_as)
         if not 0.0 <= self.dark_click_prob < 1.0:
             raise ValueError(f"dark_click_prob must lie in [0, 1), got {self.dark_click_prob}")
-        if self.alpha_override is not None and not (
-            math.isfinite(self.alpha_override) and self.alpha_override >= 0.0
-        ):
-            raise ValueError(
-                f"alpha_override must be nonnegative and finite, got {self.alpha_override}"
-            )
+        if self.alpha_override is not None:
+            _check_nonnegative("alpha_override", self.alpha_override)
         if self.p_as is None and self.chi is None:
             raise ValueError("one of p_as or chi is required")
         if self.p_as is None and self.eta_as is None:

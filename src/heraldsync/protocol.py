@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .photon_stats import FockDistribution, SourceParams
+from .photon_stats import FockDistribution, SourceParams, _check_nonnegative
 
 __all__ = [
     "DecayModel",
@@ -42,6 +42,7 @@ __all__ = [
     "run_protocol_trial",
     "simulate_campaign",
     "simulate_campaign_records",
+    "CampaignRecords",
     "default_params",
     "TRIAL_RECORD_DTYPE",
 ]
@@ -99,16 +100,14 @@ class ProtocolParams:
     latency_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_write_max < 1:
-            raise ValueError(f"n_write_max must be >= 1, got {self.n_write_max}")
+        if not (isinstance(self.n_write_max, (int, np.integer)) and self.n_write_max >= 1):
+            raise ValueError(f"n_write_max must be an integer >= 1, got {self.n_write_max}")
         for name in ("dt_write_ns", "tau_c_us"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("dt_read_ns", "latency_ns"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+            _check_nonnegative(name, getattr(self, name))
 
     def gamma_at(self, source: SourceParams, hold_time_ns):
         return memory_retrieval_efficiency(
@@ -359,6 +358,8 @@ def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterat
     heralded, ``attempts`` both nodes' attempts there.  Each joint trial
     draws one uniform against :func:`_four_fold_table` at its signed gap.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     sources = (params.source_a, params.source_b)
     n_max = params.n_write_max
     # a source that never heralds has no heralded shape, and no joint trials
@@ -378,25 +379,6 @@ def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterat
         yield c * _CHUNK_SIZE, m, heralds, joint, attempts, four_fold
 
 
-def _campaign(params: ProtocolParams, n_trials: int, seed: int, record: bool):
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    records = np.empty(n_trials if record else 0, dtype=TRIAL_RECORD_DTYPE)
-    records[:] = (0, -1, -1, np.nan, np.nan, False)
-    records["trial"] = np.arange(records.size)
-    count = 0
-    for lo, m, heralds, joint, attempts, four_fold in _campaign_chunks(params, n_trials, seed):
-        count += int(np.count_nonzero(four_fold))
-        if record:
-            block = records[lo : lo + m]
-            holds = _holds(params, *attempts)
-            for tag, (positions, attempt), hold in zip("ab", heralds, holds):
-                block[f"herald_{tag}"][positions] = attempt
-                block[f"hold_{tag}_ns"][joint] = hold
-            block["four_fold"][joint] = four_fold
-    return CoincidenceStats.from_counts(n_trials, count), records
-
-
 def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> CoincidenceStats:
     """Run ``n_trials`` independent protocol trials and aggregate coincidences.
 
@@ -404,14 +386,37 @@ def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> Coinc
     (seed, chunk index), and counts are summed; results are identical for
     a given (params, n_trials, seed) no matter how chunks are scheduled.
     """
-    return _campaign(params, n_trials, seed, record=False)[0]
+    count = sum(int(np.count_nonzero(c[-1])) for c in _campaign_chunks(params, n_trials, seed))
+    return CoincidenceStats.from_counts(n_trials, count)
+
+
+@dataclass(frozen=True)
+class CampaignRecords:
+    """Per-trial records, one ``TRIAL_RECORD_DTYPE`` block per chunk on every pass."""
+
+    params: ProtocolParams
+    n_trials: int
+    seed: int
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        chunks = _campaign_chunks(self.params, self.n_trials, self.seed)
+        for lo, m, heralds, joint, attempts, four_fold in chunks:
+            block = np.full(m, np.array((0, -1, -1, np.nan, np.nan, False), TRIAL_RECORD_DTYPE))
+            block["trial"] = np.arange(lo, lo + m)
+            holds = _holds(self.params, *attempts)
+            for tag, (positions, attempt), hold in zip("ab", heralds, holds):
+                block[f"herald_{tag}"][positions] = attempt
+                block[f"hold_{tag}_ns"][joint] = hold
+            block["four_fold"][joint] = four_fold
+            yield block
 
 
 def simulate_campaign_records(
     params: ProtocolParams, n_trials: int, seed: int
 ) -> tuple[CoincidenceStats, np.ndarray]:
-    """Like :func:`simulate_campaign` but also return per-trial records."""
-    return _campaign(params, n_trials, seed, record=True)
+    """Like :func:`simulate_campaign`, plus the :class:`CampaignRecords` blocks joined."""
+    records = np.concatenate([*CampaignRecords(params, n_trials, seed)])
+    return CoincidenceStats.from_counts(n_trials, int(records["four_fold"].sum())), records
 
 
 def default_params() -> ProtocolParams:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -26,13 +26,14 @@ from .interference import (
     sample_chsh_experiment,
 )
 from .protocol import (
-    _CHUNK_SIZE,
+    TRIAL_RECORD_DTYPE,
+    CampaignRecords,
     enhancement_factor,
     p4c_feedback_by_n,
     p4c_feedback_closed_form,
     p4c_no_feedback,
     simulate_campaign,
-    simulate_campaign_records,
+    simulate_campaign_records,  # unused; the layer trace wraps it in this namespace
 )
 
 __all__ = ["RunSummary", "DataTable", "run_scenario", "emit_outputs"]
@@ -52,12 +53,12 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class DataTable:
-    """A CSV table: a list of row tuples, or the structured array of trial
-    records (``TRIAL_RECORD_DTYPE``, hold times following from the heralds
-    as in a campaign), which is formatted by column."""
+    """A CSV table: a list of row tuples, or any other iterable of trial record
+    blocks (``TRIAL_RECORD_DTYPE``, hold times following from the heralds as
+    in :class:`CampaignRecords`), each formatted by column as it arrives."""
 
     columns: tuple[str, ...]
-    rows: list[tuple] | np.ndarray
+    rows: list[tuple] | Iterable[np.ndarray]
 
 
 def _fmt(value: Any) -> str:
@@ -184,21 +185,16 @@ def _run_chsh(config: RunConfig) -> tuple[dict[str, Any], DataTable]:
 
 def _run_protocol_sim(config: RunConfig) -> tuple[dict[str, Any], DataTable | None]:
     params = config.protocol
-    closed_form = p4c_feedback_closed_form(params)
-    table = None
-    if config.record_trials:
-        stats, records = simulate_campaign_records(params, config.trials, config.seed)
-        table = DataTable(records.dtype.names, records)
-    else:
-        stats = simulate_campaign(params, config.trials, config.seed)
+    stats = simulate_campaign(params, config.trials, config.seed)
     metrics = {
         "p4c_hat": stats.p4c_hat,
-        "p4c_closed_form": closed_form,
+        "p4c_closed_form": p4c_feedback_closed_form(params),
         "std_err": stats.std_err,
         "four_fold_count": stats.four_fold_count,
         "trials": stats.trials,
     }
-    return metrics, table
+    records = CampaignRecords(params, config.trials, config.seed)
+    return metrics, DataTable(TRIAL_RECORD_DTYPE.names, records) if config.record_trials else None
 
 
 def run_scenario(config: RunConfig) -> tuple[RunSummary, DataTable | None]:
@@ -227,7 +223,7 @@ def emit_outputs(summary: RunSummary, table: DataTable | None, path: str | Path)
     """Write summary.json (and table.csv when present) under ``path``.
 
     LF newlines; floats carry at least six significant digits.  Tables are
-    formatted by column, a trial record table one campaign chunk at a time.
+    formatted by column, a trial record table one block at a time.
     """
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -248,8 +244,7 @@ def emit_outputs(summary: RunSummary, table: DataTable | None, path: str | Path)
         return
     with (out_dir / TABLE_FILE).open("w", encoding="utf-8", newline="\n") as out:
         out.write(",".join(table.columns) + "\n")
-        if isinstance(table.rows, np.ndarray):
-            for lo in range(0, table.rows.size, _CHUNK_SIZE):
-                out.write(_record_lines(table.rows[lo : lo + _CHUNK_SIZE]))
-        else:
+        if isinstance(table.rows, list):
             out.write(_table_lines(table.rows))
+        else:
+            out.writelines(map(_record_lines, table.rows))

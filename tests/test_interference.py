@@ -259,6 +259,14 @@ def test_effective_state_weight_validation():
         EffectiveTwoPhotonState(0.5, 0.2, 0.2)
 
 
+@pytest.mark.parametrize("field", ["w_singlet", "w_hh", "w_vv"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.25])
+def test_effective_state_rejects_bad_weight(field, value):
+    weights = {"w_singlet": 0.5, "w_hh": 0.25, "w_vv": 0.25, field: value}
+    with pytest.raises(ValueError, match=field):
+        EffectiveTwoPhotonState(**weights)
+
+
 # ---------------------------------------------------------------------------
 # correlation
 
@@ -317,6 +325,21 @@ def test_chsh_zero_correlations():
 def test_chsh_rejects_out_of_range():
     with pytest.raises(ValueError):
         chsh_from_correlations(1.2, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_chsh_rejects_non_finite_correlation(position, value):
+    es = [-0.6, 0.6, 0.6, 0.6]
+    es[position] = value
+    with pytest.raises(ValueError, match=("e11", "e12", "e21", "e22")[position]):
+        chsh_from_correlations(*es)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.04])
+def test_chsh_rejects_bad_sigma(value):
+    with pytest.raises(ValueError, match=r"sigmas\[2\]"):
+        chsh_from_correlations(-0.6, 0.6, 0.6, 0.6, sigmas=(0.04, 0.04, value, 0.04))
 
 
 def test_chsh_without_sigmas():

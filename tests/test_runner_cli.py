@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,7 +113,7 @@ def test_protocol_sim_records_table():
         "protocol.source_b.gamma0 = 0.9\n"
     )
     assert table.columns == ("trial", "herald_a", "herald_b", "hold_a_ns", "hold_b_ns", "four_fold")
-    assert len(table.rows) == 2000
+    assert sum(block.size for block in table.rows) == 2000
     assert summary.metrics["four_fold_count"] > 0
 
 
@@ -235,12 +239,22 @@ def test_record_table_matches_per_cell_formatting(tmp_path):
     for name, herald in (("hold_a_ns", "herald_a"), ("hold_b_ns", "herald_b")):
         records[name] = np.where(joint, (later - records[herald]) * 800.0 + 400.0, np.nan)
     records["four_fold"] = joint & (rng.random(records.size) < 0.5)
-    table = DataTable(records.dtype.names, records)
+    table = DataTable(records.dtype.names, (records[:65_536], records[65_536:]))
     summary, _ = run_text("scenario = enhancement\n")
     emit_outputs(summary, table, tmp_path)
     expected = [",".join(table.columns)]
     expected += [",".join(_fmt(v) for v in row) for row in records.tolist()]
     assert (tmp_path / "table.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def test_record_table_emits_identically_twice(tmp_path):
+    # the record blocks are re-drawn on every pass, not consumed by the first
+    summary, table = run_text(RECORDS + "seed = 2\ntrials = 70000\n" + RECORD_SOURCES_DENSE)
+    for directory in ("first", "second"):
+        emit_outputs(summary, table, tmp_path / directory)
+    first = (tmp_path / "first" / "table.csv").read_bytes()
+    assert first.count(b"\n") == 70_001
+    assert (tmp_path / "second" / "table.csv").read_bytes() == first
 
 
 def test_generic_table_matches_per_cell_formatting(tmp_path):
@@ -334,6 +348,41 @@ def test_cli_success(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "out" / "summary.json").exists()
     assert "enhancement" in capsys.readouterr().out
+
+
+def test_cli_record_table_four_fold_sums_to_count(tmp_path):
+    # a dense run across a chunk boundary: the table and the count come
+    # from separate passes over the same substreams
+    cfg = write_config(tmp_path, RECORDS + "seed = 13\ntrials = 70000\n" + RECORD_SOURCES_DENSE)
+    assert main(["protocol_sim", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "table.csv").read_text().splitlines()
+    assert lines[0].endswith(",four_fold") and len(lines) == 70_001
+    four_fold = sum(int(line.rsplit(",", 1)[1]) for line in lines[1:])
+    doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert four_fold == doc["metrics"]["four_fold_count"] > 0
+
+
+def test_cli_record_run_peak_rss_flat_in_trials(tmp_path):
+    # A whole-table allocation adds 41 B per trial, about 37 MB between
+    # these two sizes; streamed blocks add nothing.  A process's peak RSS
+    # carries over from its forking parent, so a small launcher starts the
+    # CLI and reports its child's peak.
+    launcher = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    cfg = write_config(tmp_path, RECORDS)
+    env = {**os.environ, "PYTHONPATH": str(Path(heraldsync.__file__).parents[1])}
+    cli = [sys.executable, "-m", "heraldsync.cli", "protocol_sim", "--config", cfg]
+    peak_kib = []
+    for trials in (100_000, 1_000_000):
+        argv = [*cli, "--trials", str(trials), "--out", str(tmp_path)]
+        done = subprocess.run([sys.executable, "-c", launcher, *argv], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        peak_kib.append(int(done.stdout))
+    (tmp_path / "table.csv").unlink()
+    assert abs(peak_kib[1] - peak_kib[0]) * 1024 <= 5e6, peak_kib
 
 
 def test_cli_missing_config_file(tmp_path):
