@@ -309,7 +309,8 @@ def chsh_from_correlations(
         for k, x in enumerate(sigma_e):
             _check_nonnegative(f"sigmas[{k}]", x)
         sigma_s = math.sqrt(math.fsum(x * x for x in sigma_e))
-        n_sigma = (s - 2.0) / sigma_s if sigma_s > 0.0 else math.inf
+        # an exact S (sigma_s = 0) lies infinitely far from 2 on its own side, or at 2
+        n_sigma = (s - 2.0) / sigma_s if sigma_s else (math.inf * (s - 2.0) if s != 2.0 else 0.0)
     return CHSHResult(e=es, sigma_e=sigma_e, s=s, sigma_s=sigma_s, n_sigma=n_sigma)
 
 

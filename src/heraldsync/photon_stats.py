@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = [
     "FockDistribution",
@@ -173,8 +172,9 @@ class SourceParams:
       detector.
     * direct: give ``p_as``.  Without ``eta_as`` the memory is taken to
       hold exactly one excitation per herald (the small-chi idealization).
-      With ``eta_as`` set, chi is solved so the microscopic model
-      reproduces ``p_as`` and the conditional statistics keep their
+      With ``eta_as`` set, chi is solved when the source is built, so the
+      microscopic model reproduces ``p_as`` (one that ``eta_as`` cannot
+      reach raises there) and the conditional statistics keep their
       two-excitation component.
 
     ``alpha_override`` pins the retrieved-field anti-correlation parameter
@@ -205,6 +205,17 @@ class SourceParams:
             raise ValueError("one of p_as or chi is required")
         if self.p_as is None and self.eta_as is None:
             raise ValueError("eta_as is required when the source is given by chi")
+        # The heralded shape, derived once and no field (so no config key).
+        shape = None  # a source that never heralds has none
+        if self.herald_prob > 0.0 and self.eta_as is None:
+            # Idealized source: a herald loads exactly one excitation; dark
+            # counts contribute vacuum-loaded heralds.
+            q1 = self.p_as / self.herald_prob
+            shape = FockDistribution((1.0 - q1, q1, 0.0))
+        elif self.herald_prob > 0.0:
+            dist = emission_distribution(self.effective_chi)
+            shape = heralded_excitation_distribution(dist, self.eta_as, self.dark_click_prob)
+        object.__setattr__(self, "_shape", shape)
 
     @property
     def herald_prob(self) -> float:
@@ -227,30 +238,12 @@ class SourceParams:
 
     def heralded_shape(self) -> FockDistribution:
         """Excitation distribution stored in the memory, given a herald."""
-        return _heralded_shape_cached(
-            self.effective_chi,
-            self.eta_as,
-            self.p_as if self.eta_as is None else None,
-            self.dark_click_prob,
-        )
+        if self._shape is None:
+            raise ValueError("herald probability is zero; conditioning is undefined")
+        return self._shape
 
     def alpha_at(self, gamma: float) -> float:
         """Anti-correlation parameter of the retrieved field at efficiency gamma."""
         if self.alpha_override is not None:
             return self.alpha_override
         return alpha_of(retrieve(self.heralded_shape(), gamma))
-
-
-@lru_cache(maxsize=256)
-def _heralded_shape_cached(
-    chi: float | None, eta_as: float | None, p_as: float | None, dark: float
-) -> FockDistribution:
-    if p_as is not None:
-        # Idealized source: a herald loads exactly one excitation; dark
-        # counts contribute vacuum-loaded heralds.
-        z = p_as + dark - p_as * dark
-        if z <= 0.0:
-            raise ValueError("herald probability is zero; conditioning is undefined")
-        q1 = p_as / z
-        return FockDistribution((1.0 - q1, q1, 0.0))
-    return heralded_excitation_distribution(emission_distribution(chi), eta_as, dark)

@@ -12,7 +12,7 @@ Closed forms and simulators describe the same stochastic process: the
 per-node read success at hold time t is sum_n q[n]*(1-(1-gamma(t))**n)
 over the heralded excitation shape q, which reduces to gamma(t) for a
 single-excitation memory.  All three take hold times from :func:`_holds`.
-The closed form and the campaign share the per-gap read success
+Both closed forms and the campaign share the per-gap read success
 :func:`_wait_success`: the campaign draws one uniform per jointly
 heralded trial against its product.  The trial alone samples retrieval
 excitation by excitation (:func:`_retrieved`), as an independent check.
@@ -21,7 +21,7 @@ excitation by excitation (:func:`_retrieved`), as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator
 
@@ -136,13 +136,16 @@ def _wait_success(params: ProtocolParams, d) -> tuple:
     """Each node's read success when it heralded ``d`` slots before its peer.
 
     The earlier node holds for the gap plus the rendezvous overhead; at
-    ``d = 0`` this is the later node's read success.  Both sources must
-    herald with nonzero probability.
+    ``d = 0`` this is the later node's read success.  This is the one place
+    a source that never heralds is handled: both successes are then zero.
     """
+    sources = (params.source_a, params.source_b)
     t_wait = _holds(params, 0, d)[0]
+    if min(source.herald_prob for source in sources) == 0.0:
+        return np.zeros_like(t_wait), np.zeros_like(t_wait)
     return tuple(
         _read_success(source.heralded_shape(), params.gamma_at(source, t_wait))
-        for source in (params.source_a, params.source_b)
+        for source in sources
     )
 
 
@@ -154,17 +157,11 @@ def p4c_no_feedback(params: ProtocolParams) -> float:
     source's heralded shape (identical to gamma for a single-excitation
     memory).  The single-shot baseline reads both nodes on a fixed
     schedule with no ready-message exchange, so it pays no rendezvous
-    latency.
+    latency: its read success is the zero-gap one at zero latency, where
+    the hold is exactly ``dt_read_ns``.
     """
-    pa = params.source_a.herald_prob
-    pb = params.source_b.herald_prob
-    if pa == 0.0 or pb == 0.0:
-        return 0.0
-    ra, rb = (
-        _read_success(source.heralded_shape(), params.gamma_at(source, params.dt_read_ns))
-        for source in (params.source_a, params.source_b)
-    )
-    return pa * ra * pb * rb
+    ra, rb = _wait_success(replace(params, latency_ns=0.0), 0)
+    return float(params.source_a.herald_prob * ra * params.source_b.herald_prob * rb)
 
 
 def p4c_feedback_by_n(params: ProtocolParams, ns) -> np.ndarray:
@@ -182,10 +179,7 @@ def p4c_feedback_by_n(params: ProtocolParams, ns) -> np.ndarray:
     """
     if min(ns) < 1:
         raise ValueError(f"every n_write_max must be >= 1, got {min(ns)}")
-    pa = params.source_a.herald_prob
-    pb = params.source_b.herald_prob
-    if pa == 0.0 or pb == 0.0:
-        return np.zeros(len(ns))
+    pa, pb = params.source_a.herald_prob, params.source_b.herald_prob
     n_max = max(ns)
     qa, qb = 1.0 - pa, 1.0 - pb
 
@@ -362,8 +356,7 @@ def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterat
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     sources = (params.source_a, params.source_b)
     n_max = params.n_write_max
-    # a source that never heralds has no heralded shape, and no joint trials
-    table = _four_fold_table(params) if min(s.herald_prob for s in sources) > 0.0 else np.empty(0)
+    table = _four_fold_table(params)
     for c in range((n_trials + _CHUNK_SIZE - 1) // _CHUNK_SIZE):
         m = min(_CHUNK_SIZE, n_trials - c * _CHUNK_SIZE)
         rng = np.random.default_rng([seed, c])

@@ -322,6 +322,20 @@ def test_chsh_zero_correlations():
     assert chsh_from_correlations(0.0, 0.0, 0.0, 0.0).s == 0.0
 
 
+@pytest.mark.parametrize(
+    "es,s,n_sigma",
+    [
+        ((0.0, 0.0, 0.0, 0.0), 0.0, -math.inf),
+        ((1.0, 0.0, 0.0, -1.0), 2.0, 0.0),
+        ((-1.0, 1.0, 1.0, 1.0), 4.0, math.inf),
+    ],
+)
+def test_chsh_exact_s_lies_on_its_own_side_of_two(es, s, n_sigma):
+    # zero standard errors: S is exact, so only its side of 2 is significant
+    result = chsh_from_correlations(*es, sigmas=(0.0, 0.0, 0.0, 0.0))
+    assert (result.s, result.sigma_s, result.n_sigma) == (s, 0.0, n_sigma)
+
+
 def test_chsh_rejects_out_of_range():
     with pytest.raises(ValueError):
         chsh_from_correlations(1.2, 0.0, 0.0, 0.0)

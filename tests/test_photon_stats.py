@@ -279,6 +279,11 @@ def test_source_p_as_with_eta_solves_chi():
     assert src.heralded_shape()[2] > 0.0
 
 
+def test_source_rejects_unreachable_p_as_when_built():
+    with pytest.raises(ValueError, match=r"^p_as = 0\.9 is not reachable"):
+        SourceParams(gamma0=0.08, p_as=0.9, eta_as=0.5)
+
+
 def test_source_alpha_override_wins():
     src = SourceParams(gamma0=0.08, p_as=2.0e-3, alpha_override=0.17)
     assert src.alpha_at(0.08) == 0.17

@@ -15,6 +15,7 @@ from heraldsync.protocol import (
     _four_fold_table,
     _retrieved,
     _wait_success,
+    CampaignRecords,
     CoincidenceStats,
     DecayModel,
     ProtocolParams,
@@ -370,6 +371,36 @@ def test_trial_dead_source_never_coincides():
         out = run_protocol_trial(params, np.random.default_rng(seed))
         assert not out.four_fold
         assert out.herald_a is None
+
+
+@pytest.mark.parametrize("dead", ["a", "b", "both"])
+@pytest.mark.parametrize(
+    "dead_source",
+    [SourceParams(gamma0=0.6, p_as=0.0), SourceParams(gamma0=0.6, chi=0.0, eta_as=0.5)],
+    ids=["p_as", "chi"],
+)
+@pytest.mark.parametrize("latency_ns", [0.0, 700.0])
+@pytest.mark.parametrize("model", list(DecayModel))
+def test_dead_source_never_coincides_in_any_layer(dead, dead_source, latency_ns, model):
+    # _wait_success is the one rule for a source that never heralds
+    live = SourceParams(gamma0=0.6, p_as=0.3)
+    params = ProtocolParams(
+        source_a=dead_source if dead in ("a", "both") else live,
+        source_b=dead_source if dead in ("b", "both") else live,
+        n_write_max=5,
+        latency_ns=latency_ns,
+        decay_model=model,
+    )
+    assert dead_source.herald_prob == 0.0
+    with pytest.raises(ValueError, match="herald probability is zero"):
+        dead_source.heralded_shape()
+    assert p4c_no_feedback(params) == 0.0
+    assert p4c_feedback_by_n(params, (1, 3, 5)).tolist() == [0.0, 0.0, 0.0]
+    n_trials = _CHUNK_SIZE + 100
+    assert simulate_campaign(params, n_trials, seed=2).four_fold_count == 0
+    blocks = list(CampaignRecords(params, n_trials, seed=2))
+    assert sum(block.size for block in blocks) == n_trials
+    assert not any(block["four_fold"].any() for block in blocks)
 
 
 def test_trial_deterministic_for_seed():

@@ -205,6 +205,14 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
             id="chsh-sampled",
         ),
         pytest.param(
+            "scenario = chsh\nchsh.mode = sampled\nchsh.p_i2 = 0\nchsh.n_events = 1000\n"
+            "chsh.theta1_deg = 45\nchsh.theta1_prime_deg = 45\n"
+            "chsh.theta2_deg = 90\nchsh.theta2_prime_deg = 90\n",
+            "a07321697257d275565ed617d44b8edbe25c6ae6913ee430c8bab9ac4c99dc5e",
+            "25e5727c965c5696bdcc31840808744df3b00636b1b47e869d4a3de7e9120b44",
+            id="chsh-sampled-pure-hh",
+        ),
+        pytest.param(
             "scenario = protocol_sim\nseed = 9\ntrials = 300000\n"
             "protocol.source_a.p_as = 0.05\nprotocol.source_b.p_as = 0.03\n"
             "protocol.source_a.gamma0 = 0.5\nprotocol.source_b.gamma0 = 0.5\n"
@@ -425,6 +433,30 @@ def test_cli_rejects_bad_hom_and_chsh_values(tmp_path, capsys, key, value):
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"(key: {key} line: 2)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", ["enhancement", "protocol_sim", "hom_scan"])
+def test_cli_rejects_unreachable_p_as_in_every_scenario(tmp_path, capsys, scenario):
+    # chi is solved when the source is built, so the parser rejects p_as
+    # whether or not the scenario reads the source
+    text = f"scenario = {scenario}\nprotocol.source_a.eta_as = 0.5\nprotocol.source_a.p_as = 0.9\n"
+    cfg = write_config(tmp_path, text)
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "(key: protocol.source_a.p_as line: 3)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_chsh_exact_s_at_two_is_not_significant(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "scenario = chsh\nchsh.mode = sampled\nchsh.p_i1 = 0\nchsh.n_events = 1000\n"
+        "chsh.theta1_deg = 0\nchsh.theta1_prime_deg = 0\n"
+        "chsh.theta2_deg = 0\nchsh.theta2_prime_deg = 0\n",
+    )
+    out = tmp_path / "out"
+    assert main(["chsh", "--config", cfg, "--out", str(out)]) == 0
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    assert (metrics["s"], metrics["sigma_s"], metrics["n_sigma"]) == (2.0, 0.0, 0.0)
 
 
 def test_cli_seed_override_changes_outputs(tmp_path):
