@@ -360,3 +360,18 @@ def test_solve_chi_unreachable():
 
 def test_solve_chi_zero():
     assert solve_chi_for_herald(0.0, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("exponent", range(6, 18))
+def test_solve_chi_tiny_p_as_round_trips(exponent):
+    # the conjugate root does not cancel: the herald probability comes back
+    # to within rounding all the way down to 1e-17
+    p_as = 10.0**-exponent
+    chi = solve_chi_for_herald(p_as, 0.5)
+    assert abs(herald_probability(emission_distribution(chi), 0.5) - p_as) < 1e-15 * p_as
+
+
+def test_source_tiny_p_as_with_eta_builds():
+    source = SourceParams(gamma0=0.08, p_as=1e-17, eta_as=0.5)
+    assert source.herald_prob == 1e-17
+    assert source.heralded_shape()[0] == 0.0

@@ -154,7 +154,7 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
             RECORDS + "seed = 11\ntrials = 5000\nprotocol.tau_c_us = 8.0\n"
             "protocol.decay_model = exponential\n" + RECORD_SOURCES_DENSE,
             "a53c2d488269aad602154910ca4eac1caa9b530c6fd189ee7bdbcc184398ead5",
-            "9da66ac4b2f5df29fd3e923959f0c3660186cae3ec792a7de1f4d5ef37ec1f50",
+            "85a1d5272ae28c4b6ea556090e0b1b203c0b4f20cb17306fcb28e97309b30623",
             id="dense-dark-exponential",
         ),
         pytest.param(
