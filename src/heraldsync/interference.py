@@ -105,11 +105,14 @@ class HOMResult:
 
 
 def _two_photon_rates(alpha1, alpha2, p_i1, p_i2):
+    """Each source's alpha * p_i**2 / 2; raises if a plateau or state weight would overflow."""
     for name, value in (("alpha1", alpha1), ("alpha2", alpha2), ("p_i1", p_i1), ("p_i2", p_i2)):
         _check_nonnegative(name, value)
-    p2_1 = alpha1 * p_i1 * p_i1 / 2.0
-    p2_2 = alpha2 * p_i2 * p_i2 / 2.0
-    return p2_1, p2_2
+    rates = (alpha1 * p_i1 * p_i1 / 2.0, alpha2 * p_i2 * p_i2 / 2.0)
+    if not math.isfinite(p_i1 * p_i2 + sum(rates)):
+        name = "p_i2" if math.isfinite(rates[0]) else "p_i1"
+        raise ValueError(f"{name} overflows the two-photon rates (p_i = {p_i1}, {p_i2})")
+    return rates
 
 
 def _hom_levels(alpha1, alpha2, p_i1, p_i2, overlap):

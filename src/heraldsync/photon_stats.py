@@ -142,10 +142,9 @@ def solve_chi_for_herald(p_as: float, eta_as: float) -> float:
     """Excitation probability chi whose modeled herald probability is ``p_as``.
 
     The herald probability [chi*eta + chi**2*eta*(2-eta)] / (1+chi+chi**2)
-    is monotone in chi on [0, 1); inverting it is a quadratic, whose root
-    is taken in the conjugate form 2p/(b + sqrt(b**2 + 4ap)) so that a tiny
-    ``p_as`` does not cancel.  Raises if ``p_as`` exceeds the chi -> 1
-    supremum eta*(3-eta)/3.
+    is monotone in chi on [0, 1); inverting it is a quadratic, solved in the
+    conjugate form 2p/(b + sqrt(b**2 + 4ap)) that no tiny ``p_as`` cancels.
+    Raises if ``p_as`` exceeds the chi -> 1 supremum eta*(3-eta)/3.
     """
     _check_unit_interval("p_as", p_as)
     _check_unit_interval("eta_as", eta_as)

@@ -14,8 +14,10 @@ over the heralded excitation shape q, which reduces to gamma(t) for a
 single-excitation memory.  All three take hold times from :func:`_holds`.
 Both closed forms and the campaign share the per-gap read success
 :func:`_wait_success`: the campaign draws one uniform per jointly
-heralded trial against its product.  The trial alone samples retrieval
-excitation by excitation (:func:`_retrieved`), as an independent check.
+heralded trial against its product, and draws node B's heralds over node
+A's heralded trials, so that no intersection finds the joint ones.  The
+trial alone samples retrieval excitation by excitation (:func:`_retrieved`),
+as an independent check.
 """
 
 from __future__ import annotations
@@ -307,29 +309,32 @@ TRIAL_RECORD_DTYPE = np.dtype(
 def _heralds(rng: np.random.Generator, p: float, n_max: int, m: int):
     """Sorted heralded trials among ``m`` and the attempt index of each.
 
-    A trial heralds within ``n_max`` attempts with P = 1 - (1-p)**n_max, so
-    only heralded trials cost draws: Geometric(P) gaps between them, and
-    the attempt index by inversion of the truncated geometric law.  The
-    arithmetic runs in place because a dense source heralds in most trials.
+    The attempts form one Bernoulli(p) stream, ``n_max`` per trial and cut
+    at each herald.  One exponential E per herald gives the failures before
+    it, y = floor(E/lambda) with lambda = -log(1-p): by memorylessness, y //
+    n_max trials pass without a herald and the next heralds at attempt y %
+    n_max.  E is capped so that y stops just past the index space.
     """
-    if p <= 0.0:
+    if p <= 0.0 or m == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    log_q = math.log1p(-p)
-    big_p = -math.expm1(n_max * log_q)
+    lam = -math.log1p(-p)
+    big_p = -math.expm1(n_max * -lam)
     parts, last = [], -1
     while last < m - 1:
         rest = (m - 1 - last) * big_p
-        # A gap past the chunk is cut to m + 1, so the sums cannot overflow.
-        gaps = np.minimum(rng.geometric(big_p, int(rest + 4.0 * math.sqrt(rest)) + 16), m + 1)
-        parts.append(np.add(np.cumsum(gaps, out=gaps), last, out=gaps))
-        last = int(gaps[-1])
-    positions = np.concatenate(parts)
-    positions = positions[: np.searchsorted(positions, m)]
-    u = rng.random(positions.size)
-    attempts = np.divide(np.log1p(np.multiply(u, -big_p, out=u), out=u), log_q, out=u)
-    return positions, np.minimum(attempts, n_max - 1, out=attempts).astype(np.int64)
+        e = rng.standard_exponential(int(rest + 4.0 * math.sqrt(rest)) + 16)
+        # the cast of y >= 0 is its floor; y - skips * n_max beats np.divmod
+        y = np.divide(np.minimum(e, lam * (m + 1) * n_max, out=e), lam, out=e).astype(np.int64)
+        skips = y // n_max
+        attempts = np.subtract(y, skips * n_max, out=y)
+        positions = np.add(np.cumsum(np.add(skips, 1, out=skips), out=skips), last, out=skips)
+        parts.append((positions, attempts))
+        last = int(positions[-1])
+    positions, attempts = (np.concatenate(x) for x in zip(*parts))
+    kept = np.searchsorted(positions, m)
+    return positions[:kept], attempts[:kept]
 
 
 def _four_fold_table(params: ProtocolParams) -> np.ndarray:
@@ -345,31 +350,27 @@ def _four_fold_table(params: ProtocolParams) -> np.ndarray:
 
 
 def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterator[tuple]:
-    """Yield ``(offset, size, heralds, joint, attempts, four_fold)`` per chunk.
+    """Yield ``(offset, size, rng, heralds_a, joint, attempts, four_fold)`` per chunk.
 
-    Chunk c draws from the substream (seed, c).  ``heralds`` holds each
-    node's ``(positions, attempts)``; ``joint`` the trials where both
-    heralded, ``attempts`` both nodes' attempts there.  Each joint trial
-    draws one uniform against :func:`_four_fold_table` at its signed gap.
+    Chunk c draws from the substream (seed, c): node A's ``(positions,
+    attempts)``, then node B's over A's heralded trials, which gives ``joint``
+    and both nodes' ``attempts`` there, then one uniform per joint trial
+    against :func:`_four_fold_table` at its signed gap.  ``rng`` is handed
+    on: B's heralds on A's empty trials, which no count needs, come next.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    sources = (params.source_a, params.source_b)
+    p_a, p_b = params.source_a.herald_prob, params.source_b.herald_prob
     n_max = params.n_write_max
     table = _four_fold_table(params)
     for c in range((n_trials + _CHUNK_SIZE - 1) // _CHUNK_SIZE):
         m = min(_CHUNK_SIZE, n_trials - c * _CHUNK_SIZE)
         rng = np.random.default_rng([seed, c])
-        heralds = [_heralds(rng, s.herald_prob, n_max, m) for s in sources]
-        (pos_a, att_a), (pos_b, att_b) = heralds
-        both = np.zeros(m, dtype=np.int8)
-        both[pos_a] = 1
-        both[pos_b] += 1
-        in_b = both[pos_a] == 2
-        joint = pos_a[in_b]
-        attempts = att_a[in_b], att_b[both[pos_b] == 2]
-        four_fold = rng.random(joint.size) < table[attempts[1] - attempts[0] + (n_max - 1)]
-        yield c * _CHUNK_SIZE, m, heralds, joint, attempts, four_fold
+        pos_a, att_a = _heralds(rng, p_a, n_max, m)
+        in_a, att_b = _heralds(rng, p_b, n_max, pos_a.size)
+        attempts = att_a[in_a], att_b
+        four_fold = rng.random(in_a.size) < table[att_b - attempts[0] + (n_max - 1)]
+        yield c * _CHUNK_SIZE, m, rng, (pos_a, att_a), pos_a[in_a], attempts, four_fold
 
 
 def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> CoincidenceStats:
@@ -392,14 +393,17 @@ class CampaignRecords:
     seed: int
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        chunks = _campaign_chunks(self.params, self.n_trials, self.seed)
-        for lo, m, heralds, joint, attempts, four_fold in chunks:
+        params = self.params
+        p_b, n_max = params.source_b.herald_prob, params.n_write_max
+        chunks = _campaign_chunks(params, self.n_trials, self.seed)
+        for lo, m, rng, (pos_a, att_a), joint, attempts, four_fold in chunks:
             block = np.full(m, np.array((0, -1, -1, np.nan, np.nan, False), TRIAL_RECORD_DTYPE))
             block["trial"] = np.arange(lo, lo + m)
-            holds = _holds(self.params, *attempts)
-            for tag, (positions, attempt), hold in zip("ab", heralds, holds):
-                block[f"herald_{tag}"][positions] = attempt
-                block[f"hold_{tag}_ns"][joint] = hold
+            block["herald_a"][pos_a] = att_a
+            empty = np.flatnonzero(block["herald_a"] < 0)  # B there: the chunk's last draws
+            in_empty, att_b = _heralds(rng, p_b, n_max, empty.size)
+            block["herald_b"][joint], block["herald_b"][empty[in_empty]] = attempts[1], att_b
+            block["hold_a_ns"][joint], block["hold_b_ns"][joint] = _holds(params, *attempts)
             block["four_fold"][joint] = four_fold
             yield block
 

@@ -146,6 +146,22 @@ def test_hom_names_bad_source_parameter(position, name, value):
         hom_coincidence(*args)
 
 
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((0.12, 0.17, 1.0, 1e300), "p_i2"),
+        ((0.12, 0.17, 1e300, 1.0), "p_i1"),
+        ((1e300, 0.17, 1e10, 1.0), "p_i1"),
+        ((0.0, 0.0, 1e200, 1e200), "p_i2"),
+    ],
+)
+def test_two_photon_rate_overflow_names_a_rate(args, name):
+    # every input is finite; the rates built from them are not
+    for stage in (hom_coincidence, effective_state):
+        with pytest.raises(ValueError, match=f"^{name} overflows"):
+            stage(*args)
+
+
 def test_hom_result_invariant():
     with pytest.raises(ValueError):
         HOMResult(c_plat=0.1, c_dip=0.2, visibility=-1.0)

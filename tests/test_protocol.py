@@ -1,6 +1,7 @@
 """Tests for the synchronization protocol: closed forms and simulator."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from heraldsync.photon_stats import FockDistribution, SourceParams
 from heraldsync.protocol import (
     _CHUNK_SIZE,
     _four_fold_table,
+    _heralds,
     _retrieved,
     _wait_success,
     CampaignRecords,
@@ -581,6 +583,59 @@ def test_herald_sampler_extremes():
             assert_heralds_follow_law(records, other, partner, params.n_write_max)
             if attempt < 0:
                 assert stats.four_fold_count == 0
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-310, 1e-300, 1e-17])
+def test_tiny_herald_probabilities_never_herald_and_never_warn(p):
+    # lambda = -log(1 - p) is as tiny as p: E / lambda would overflow
+    # without the cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1, 3, _CHUNK_SIZE):
+            positions, attempts = _heralds(np.random.default_rng(5), p, 12, m)
+            assert positions.size == attempts.size == 0
+        for pair, tiny in (((p, 0.3), "herald_a"), ((0.3, p), "herald_b"), ((p, p), "herald_a")):
+            params = make_params(p_a=pair[0], p_b=pair[1])
+            assert simulate_campaign(params, HERALD_TRIALS, seed=6).four_fold_count == 0
+            records = np.concatenate([*CampaignRecords(params, HERALD_TRIALS, seed=6)])
+            assert np.all(records[tiny] == -1) and not records["four_fold"].any()
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-17, 0.3, 1.0])
+def test_heralds_on_an_empty_index_space(p):
+    # node B is drawn over A's heralded trials and, for records, over A's
+    # empty ones; either space can be empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        positions, attempts = _heralds(np.random.default_rng(5), p, 12, 0)
+        assert positions.dtype == attempts.dtype == np.int64
+        assert positions.size == attempts.size == 0
+        for pair in ((0.0, p), (1.0, p)):
+            params = make_params(p_a=pair[0], p_b=pair[1])
+            stats = simulate_campaign(params, 1000, seed=6)
+            records = np.concatenate([*CampaignRecords(params, 1000, seed=6)])
+            check_records(params, stats, records, 1000)
+
+
+@pytest.mark.parametrize(
+    "p_a,p_b",
+    [
+        pytest.param(2.0e-3, 2.0e-3, id="sparse"),
+        pytest.param(0.2, 0.25, id="dense"),
+        pytest.param(2.0e-3, 0.25, id="a-sparse-b-dense"),
+        pytest.param(0.2, 2.0e-3, id="a-dense-b-sparse"),
+    ],
+)
+def test_node_b_follows_its_law_where_a_heralded_and_where_not(p_a, p_b):
+    # B is drawn over A's heralded trials for the count, and over A's empty
+    # trials for records only: on each side its herald count and attempt
+    # histogram follow B's own law
+    params = make_params(p_a=p_a, p_b=p_b)
+    _, records = simulate_campaign_records(params, HERALD_TRIALS, seed=77)
+    a_heralded = records["herald_a"] >= 0
+    assert 0 < np.count_nonzero(a_heralded) < HERALD_TRIALS
+    for side in (a_heralded, ~a_heralded):
+        assert_heralds_follow_law(records[side], "herald_b", p_b, params.n_write_max)
 
 
 @pytest.mark.parametrize("params", BRUTE_FORCE_CASES + LATENCY_CASES)

@@ -140,8 +140,8 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
     [
         pytest.param(
             RECORDS + "seed = 7\ntrials = 70000\n",
-            "9a29eded4a01841730c20d4e9bdfb5fece00a6a12ab434a181e5054644006472",
-            "c82289b238b1fbc2ccf0ee79ddd473a68f8a3da7b6c9f91eff2d531b71b42702",
+            "3f9bf23ec0b5b783e1e92236cf54ccfdb0d124c876366db0c58e8ef48d9efa6c",
+            "cbcdaef2637fc4c72a9120ba40b62e10520b5cdb9e1a232b26f57f5658f53a19",
             id="default-across-chunk-boundary",
         ),
         pytest.param(
@@ -153,8 +153,8 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
         pytest.param(
             RECORDS + "seed = 11\ntrials = 5000\nprotocol.tau_c_us = 8.0\n"
             "protocol.decay_model = exponential\n" + RECORD_SOURCES_DENSE,
-            "a53c2d488269aad602154910ca4eac1caa9b530c6fd189ee7bdbcc184398ead5",
-            "85a1d5272ae28c4b6ea556090e0b1b203c0b4f20cb17306fcb28e97309b30623",
+            "6f31af2bfe08389f7a0265d5659d14b2e31edfc5fcef4fbf26f705f6edd48eb4",
+            "a9dd8969314112787cbcbd93797eaf661aabeaca008b35123364dddd87d50550",
             id="dense-dark-exponential",
         ),
         pytest.param(
@@ -162,8 +162,8 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
             "protocol.n_write_max = 4\n"
             "protocol.source_a.p_as = 0.1\nprotocol.source_b.p_as = 0.2\n"
             "protocol.source_a.gamma0 = 0.6\nprotocol.source_b.gamma0 = 0.6\n",
-            "93ab72a6fae977f26c51b2bdbe5f581dcb1a0dac000be56e0f34cf385e5590d3",
-            "a9d1c008e07fcfa0a8548500e81be4308d55d85e8b54666f1cc6e3c9615dd2e1",
+            "f574436f69a9de35c3efc677735cd14fced81f15a0d50a46851e9cbbe6cca8ea",
+            "b7241777c897fd2c1869fe6509706deec4bf1eb62f7fb27ca1bac02d8f6ff163",
             id="latency",
         ),
         pytest.param(
@@ -218,7 +218,7 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
             "protocol.source_a.gamma0 = 0.5\nprotocol.source_b.gamma0 = 0.5\n"
             "protocol.latency_ns = 300.0\n",
             None,
-            "29b6111a0f722f52b559da30d526ae1567d9ad006a4c8f3803767e0ddc56c58f",
+            "b705372cfe4d49510f8ced99305230136c660b092c785f68d8e1d9bc3f99ec95",
             id="protocol-sim-summary",
         ),
     ],
@@ -423,6 +423,9 @@ def test_cli_domain_error(tmp_path):
         ("hom.p_i2", "-0.5"),
         ("chsh.alpha2", "-1"),
         ("chsh.p_i1", "-2"),
+        # finite, but the two-photon rate alpha * p_i**2 / 2 overflows
+        ("hom.p_i2", "1e300"),
+        ("chsh.p_i2", "1e300"),
     ],
 )
 def test_cli_rejects_bad_hom_and_chsh_values(tmp_path, capsys, key, value):
