@@ -64,19 +64,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        summary, table = run_scenario(config)
+        doc, table = run_scenario(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
     try:
-        emit_outputs(summary, table, config.output_path)
+        emit_outputs(doc, table, config.output_path)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    headline = ", ".join(f"{k}={v}" for k, v in summary.metrics.items())
-    print(f"{summary.scenario}: {headline}")
+    headline = ", ".join(f"{k}={v}" for k, v in doc["metrics"].items())
+    print(f"{doc['scenario']}: {headline}")
     print(f"wrote {Path(config.output_path) / SUMMARY_FILE}")
     return 0
 

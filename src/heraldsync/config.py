@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping
 
 from .interference import AnalyzerSettings, ScanDomain, TemporalMode, _two_photon_rates
 from .photon_stats import SourceParams, _check_nonnegative
-from .protocol import ProtocolParams, default_params
+from .protocol import ProtocolParams, _check_tau_c, default_params
 
 __all__ = [
     "ConfigError",
@@ -144,13 +144,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_positive(text: str) -> float:
-    value = _parse_float(text)
-    if value <= 0.0:
-        raise ValueError(f"expected a positive number, got {text!r}")
-    return value
-
-
 def _parse_int_in(low: int, high: int) -> Callable[[str], int]:
     def parse(text: str) -> int:
         value = int(text)
@@ -177,7 +170,7 @@ def _parse_like(default: Any) -> Callable[[str], Any]:
 # Keys whose parser the type of their default cannot give.
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "protocol.n_write_max": _parse_int_in(1, N_WRITE_MAX_CAP),
-    "enhancement.tau_c_us_list": _parse_list(_parse_positive),
+    "enhancement.tau_c_us_list": _parse_list(lambda text: _check_tau_c(_parse_float(text))),
     "enhancement.n_write_max_list": _parse_list(_parse_int_in(1, N_WRITE_MAX_CAP)),
     "hom.points": _parse_int_in(2, HOM_POINTS_CAP),
     "chsh.n_events": _parse_int_in(1, 2**63 - 1),

@@ -10,7 +10,7 @@ post-selected polarization-entangled state with HH/VV product noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -22,10 +22,8 @@ __all__ = [
     "TemporalMode",
     "HOMResult",
     "ScanDomain",
-    "HOMScanResult",
     "EffectiveTwoPhotonState",
     "AnalyzerSettings",
-    "CHSHResult",
     "mode_overlap",
     "hom_coincidence",
     "hom_scan",
@@ -53,9 +51,11 @@ class TemporalMode:
     frequency_offset_mhz: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.coherence_fwhm_ns) and self.coherence_fwhm_ns > 0.0):
+        # the overlap divides by 4*sigma**2, which must not underflow to 0
+        fwhm, sigma = self.coherence_fwhm_ns, self.sigma_ns
+        if not (math.isfinite(fwhm) and fwhm > 0.0 and 4.0 * sigma * sigma > 0.0):
             raise ValueError(
-                f"coherence_fwhm_ns must be positive and finite, got {self.coherence_fwhm_ns}"
+                f"coherence_fwhm_ns must be positive and finite, with 4*sigma**2 > 0, got {fwhm}"
             )
         for name in ("arrival_offset_ns", "frequency_offset_mhz"):
             if not math.isfinite(getattr(self, name)):
@@ -70,9 +70,11 @@ class TemporalMode:
 def _overlap_factors(delta_t_ns, delta_nu_mhz, sigma_ns: float):
     dnu_ghz = np.asarray(delta_nu_mhz, dtype=float) * 1e-3
     dt = np.asarray(delta_t_ns, dtype=float)
-    return np.exp(-(dt * dt) / (4.0 * sigma_ns * sigma_ns)) * np.exp(
-        -4.0 * math.pi**2 * dnu_ghz * dnu_ghz * sigma_ns * sigma_ns
-    )
+    # an exponent that overflows to -inf gives exp = 0, the exact limit
+    with np.errstate(over="ignore"):
+        return np.exp(-(dt * dt) / (4.0 * sigma_ns * sigma_ns)) * np.exp(
+            -4.0 * math.pi**2 * dnu_ghz * dnu_ghz * sigma_ns * sigma_ns
+        )
 
 
 def mode_overlap(m1: TemporalMode, m2: TemporalMode) -> float:
@@ -154,17 +156,6 @@ class ScanDomain(Enum):
     FREQUENCY = "frequency"
 
 
-@dataclass(frozen=True)
-class HOMScanResult:
-    """HOM dip sampled over a grid of delays (ns) or detunings (MHz)."""
-
-    domain: ScanDomain
-    abscissa: np.ndarray
-    coincidence: np.ndarray
-    plateau: float
-    dip_fwhm: float  # ns for TIME, MHz for FREQUENCY
-
-
 def hom_scan(
     alpha1: float,
     alpha2: float,
@@ -173,12 +164,12 @@ def hom_scan(
     coherence_fwhm_ns: float,
     domain: ScanDomain,
     grid: Sequence[float],
-) -> HOMScanResult:
-    """Evaluate the analytic HOM dip over a scan grid.
+) -> tuple[np.ndarray, float]:
+    """The analytic HOM dip over a scan grid: ``(coincidence, dip_fwhm)``.
 
-    The dip FWHM is the half-depth crossing of the analytic curve: the
-    coherence FWHM itself in the time domain, and 4 ln2 / (pi * FWHM_t)
-    in the frequency domain.
+    The dip FWHM (ns for TIME, MHz for FREQUENCY) is the half-depth
+    crossing of the analytic curve: the coherence FWHM itself in the time
+    domain, and 4 ln2 / (pi * FWHM_t) in the frequency domain.
     """
     grid_arr = np.asarray(grid, dtype=float)
     if grid_arr.ndim != 1 or grid_arr.size == 0:
@@ -194,14 +185,7 @@ def hom_scan(
         dip_fwhm = TIME_BANDWIDTH_PRODUCT / coherence_fwhm_ns * 1e3
     else:
         raise ValueError(f"unknown scan domain {domain!r}")
-    plateau, coincidence = _hom_levels(alpha1, alpha2, p_i1, p_i2, overlaps)
-    return HOMScanResult(
-        domain=domain,
-        abscissa=grid_arr,
-        coincidence=coincidence,
-        plateau=plateau,
-        dip_fwhm=dip_fwhm,
-    )
+    return _hom_levels(alpha1, alpha2, p_i1, p_i2, overlaps)[1], dip_fwhm
 
 
 @dataclass(frozen=True)
@@ -273,48 +257,34 @@ class AnalyzerSettings:
         )
 
 
-@dataclass(frozen=True)
-class CHSHResult:
-    """CHSH correlations, the Bell parameter, and its significance."""
-
-    e: tuple[float, float, float, float]
-    sigma_e: tuple[float, float, float, float] | None
-    s: float
-    sigma_s: float | None
-    n_sigma: float | None
-    counts: tuple[tuple[int, int, int, int], ...] | None = None
-
-
 def chsh_from_correlations(
     e11: float,
     e12: float,
     e21: float,
     e22: float,
     sigmas: Sequence[float] | None = None,
-) -> CHSHResult:
-    """Combine four correlations into the Bell parameter S.
+) -> tuple[float, float | None, float | None]:
+    """Combine four correlations into ``(s, sigma_s, n_sigma)``.
 
     S = |e11 - e12 - e21 - e22|; when standard errors are supplied,
-    sigma_S adds them in quadrature and n_sigma = (S - 2)/sigma_S.
+    sigma_S adds them in quadrature and n_sigma = (S - 2)/sigma_S,
+    else both are None.
     """
     es = (e11, e12, e21, e22)
     for name, e in zip(("e11", "e12", "e21", "e22"), es):
         if not abs(e) <= 1.0:
             raise ValueError(f"{name} must lie in [-1, 1], got {e}")
     s = abs(e11 - e12 - e21 - e22)
-    sigma_e = None
-    sigma_s = None
-    n_sigma = None
-    if sigmas is not None:
-        if len(sigmas) != 4:
-            raise ValueError("need exactly four standard errors")
-        sigma_e = tuple(float(x) for x in sigmas)
-        for k, x in enumerate(sigma_e):
-            _check_nonnegative(f"sigmas[{k}]", x)
-        sigma_s = math.sqrt(math.fsum(x * x for x in sigma_e))
-        # an exact S (sigma_s = 0) lies infinitely far from 2 on its own side, or at 2
-        n_sigma = (s - 2.0) / sigma_s if sigma_s else (math.inf * (s - 2.0) if s != 2.0 else 0.0)
-    return CHSHResult(e=es, sigma_e=sigma_e, s=s, sigma_s=sigma_s, n_sigma=n_sigma)
+    if sigmas is None:
+        return s, None, None
+    if len(sigmas) != 4:
+        raise ValueError("need exactly four standard errors")
+    for k, x in enumerate(sigmas):
+        _check_nonnegative(f"sigmas[{k}]", x)
+    sigma_s = math.sqrt(math.fsum(x * x for x in sigmas))
+    # an exact S (sigma_s = 0) lies infinitely far from 2 on its own side, or at 2
+    n_sigma = (s - 2.0) / sigma_s if sigma_s else (math.inf * (s - 2.0) if s != 2.0 else 0.0)
+    return s, sigma_s, n_sigma
 
 
 def predicted_S(alpha_bar: float) -> float:
@@ -361,27 +331,22 @@ def sample_chsh_experiment(
     settings: AnalyzerSettings,
     n_events_per_setting: int,
     seed: int,
-) -> CHSHResult:
+) -> tuple[list, list[float], list[float]]:
     """Simulate coincidence counting at the four analyzer settings.
 
     Draws ``n_events_per_setting`` outcome pairs per setting from the
-    state's joint probabilities, estimates each correlation with standard
-    error sqrt((1 - E**2)/n), and combines them into S.  Deterministic
-    for a fixed seed.
+    state's joint probabilities and returns, per setting, the counts
+    ``(n_pp, n_pm, n_mp, n_mm)``, the correlation estimate E and its
+    standard error sqrt((1 - E**2)/n): ``(counts, e, sigma_e)``.
+    Deterministic for a fixed seed.
     """
     if n_events_per_setting < 1:
         raise ValueError(f"n_events_per_setting must be >= 1, got {n_events_per_setting}")
     rng = np.random.default_rng(seed)
-    es: list[float] = []
-    sigma_e: list[float] = []
-    counts: list[tuple[int, int, int, int]] = []
     n = n_events_per_setting
-    for theta1, theta2 in settings.pairs():
-        probs = joint_outcome_probabilities(state, theta1, theta2)
-        n_pp, n_pm, n_mp, n_mm = (int(x) for x in rng.multinomial(n, probs))
-        e = (n_pp + n_mm - n_pm - n_mp) / n
-        es.append(e)
-        sigma_e.append(math.sqrt(max(1.0 - e * e, 0.0) / n))
-        counts.append((n_pp, n_pm, n_mp, n_mm))
-    result = chsh_from_correlations(es[0], es[1], es[2], es[3], sigmas=sigma_e)
-    return replace(result, counts=tuple(counts))
+    counts = [
+        [int(x) for x in rng.multinomial(n, joint_outcome_probabilities(state, t1, t2))]
+        for t1, t2 in settings.pairs()
+    ]
+    es = [(n_pp + n_mm - n_pm - n_mp) / n for n_pp, n_pm, n_mp, n_mm in counts]
+    return counts, es, [math.sqrt(max(1.0 - e * e, 0.0) / n) for e in es]

@@ -34,7 +34,6 @@ from .photon_stats import FockDistribution, SourceParams, _check_nonnegative
 __all__ = [
     "DecayModel",
     "ProtocolParams",
-    "TrialOutcome",
     "CoincidenceStats",
     "memory_retrieval_efficiency",
     "p4c_no_feedback",
@@ -60,6 +59,15 @@ class DecayModel(Enum):
     EXPONENTIAL = "exponential"
 
 
+def _check_tau_c(tau_c_us: float) -> float:
+    """``tau_c_us``, if positive, finite and large enough that 2*tau_c**2 > 0."""
+    if not (math.isfinite(tau_c_us) and tau_c_us > 0.0 and 2.0 * tau_c_us * tau_c_us > 0.0):
+        raise ValueError(
+            f"tau_c_us must be positive and finite, with 2*tau_c_us**2 > 0, got {tau_c_us}"
+        )
+    return tau_c_us
+
+
 def memory_retrieval_efficiency(
     gamma0: float,
     hold_time_ns: float | np.ndarray,
@@ -71,20 +79,22 @@ def memory_retrieval_efficiency(
     GAUSSIAN_HALF: gamma0*exp(-t**2/(2*tau_c**2)); EXPONENTIAL:
     gamma0*exp(-t/tau_c).  Accepts scalar or array hold times.
     """
-    if not (math.isfinite(tau_c_us) and tau_c_us > 0.0):
-        raise ValueError(f"tau_c_us must be positive and finite, got {tau_c_us}")
+    _check_tau_c(tau_c_us)
     if not math.isfinite(gamma0):
         raise ValueError(f"gamma0 must be finite, got {gamma0}")
     t_us = np.asarray(hold_time_ns, dtype=float) * 1e-3
     # NaN fails both comparisons.
     if not ((t_us >= 0.0) & (t_us < math.inf)).all():
         raise ValueError("hold_time_ns must be nonnegative and finite")
-    if model is DecayModel.GAUSSIAN_HALF:
-        out = gamma0 * np.exp(-(t_us * t_us) / (2.0 * tau_c_us * tau_c_us))
-    elif model is DecayModel.EXPONENTIAL:
-        out = gamma0 * np.exp(-t_us / tau_c_us)
-    else:
-        raise ValueError(f"unknown decay model {model!r}")
+    # an exponent that overflows to -inf gives exp = 0, the exact limit
+    with np.errstate(over="ignore"):
+        if model is DecayModel.GAUSSIAN_HALF:
+            exponent = -(t_us * t_us) / (2.0 * tau_c_us * tau_c_us)
+        elif model is DecayModel.EXPONENTIAL:
+            exponent = -t_us / tau_c_us
+        else:
+            raise ValueError(f"unknown decay model {model!r}")
+    out = gamma0 * np.exp(exponent)
     return float(out) if t_us.ndim == 0 else out
 
 
@@ -104,10 +114,9 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.n_write_max, (int, np.integer)) and self.n_write_max >= 1):
             raise ValueError(f"n_write_max must be an integer >= 1, got {self.n_write_max}")
-        for name in ("dt_write_ns", "tau_c_us"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.dt_write_ns) and self.dt_write_ns > 0.0):
+            raise ValueError(f"dt_write_ns must be positive and finite, got {self.dt_write_ns}")
+        _check_tau_c(self.tau_c_us)
         for name in ("dt_read_ns", "latency_ns"):
             _check_nonnegative(name, getattr(self, name))
 
@@ -213,23 +222,6 @@ def enhancement_factor(params: ProtocolParams) -> float:
     return p4c_feedback_closed_form(params) / baseline
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one synchronization trial.
-
-    ``stokes_a`` and ``stokes_b`` count the photons retrieved from each
-    memory (0-2); hold times are None unless both nodes heralded.
-    """
-
-    herald_a: int | None
-    herald_b: int | None
-    hold_time_a_ns: float | None
-    hold_time_b_ns: float | None
-    stokes_a: int
-    stokes_b: int
-    four_fold: bool
-
-
 def _retrieved(shape: FockDistribution, gamma, draws):
     """Photons read out of a memory holding the heralded shape ``shape``.
 
@@ -243,7 +235,7 @@ def _retrieved(shape: FockDistribution, gamma, draws):
     return np.add(first, second, dtype=np.int8)
 
 
-def run_protocol_trial(params: ProtocolParams, rng: np.random.Generator) -> TrialOutcome:
+def run_protocol_trial(params: ProtocolParams, rng: np.random.Generator) -> tuple:
     """Simulate one trial of the two-node protocol on a shared clock.
 
     Both nodes attempt writes at times k*dt_write (k < n_write_max), node
@@ -251,8 +243,9 @@ def run_protocol_trial(params: ProtocolParams, rng: np.random.Generator) -> Tria
     Ready messages travel for ``latency_ns``; the common read fires a
     message round-trip plus ``dt_read_ns`` after the later herald, so the
     earlier node's memory decays for the attempt gap plus that rendezvous
-    overhead.  Failure to herald on either side is a valid
-    (non-coincident) outcome.
+    overhead (:func:`_holds`).  Returns ``(herald_a, herald_b, four_fold)``,
+    a herald being the attempt index or None; failure to herald on either
+    side is a valid (non-coincident) outcome.
     """
     sources = (params.source_a, params.source_b)
     p_click = [source.herald_prob for source in sources]
@@ -262,21 +255,12 @@ def run_protocol_trial(params: ProtocolParams, rng: np.random.Generator) -> Tria
             if herald[idx] is None and rng.random() < p_click[idx]:
                 herald[idx] = k
     if None in herald:
-        return TrialOutcome(herald[0], herald[1], None, None, 0, 0, False)
-    holds = [float(hold) for hold in _holds(params, *herald)]
-    stokes = [
-        int(_retrieved(source.heralded_shape(), params.gamma_at(source, hold), rng.random(3)))
-        for source, hold in zip(sources, holds)
-    ]
-    return TrialOutcome(
-        herald_a=herald[0],
-        herald_b=herald[1],
-        hold_time_a_ns=holds[0],
-        hold_time_b_ns=holds[1],
-        stokes_a=stokes[0],
-        stokes_b=stokes[1],
-        four_fold=stokes[0] > 0 and stokes[1] > 0,
+        return herald[0], herald[1], False
+    photons_a, photons_b = (
+        _retrieved(source.heralded_shape(), params.gamma_at(source, hold), rng.random(3))
+        for source, hold in zip(sources, _holds(params, *herald))
     )
+    return herald[0], herald[1], bool(photons_a > 0 and photons_b > 0)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ are a pure function of the (config, seed) pair.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -36,29 +37,10 @@ from .protocol import (
     simulate_campaign_records,  # unused; the layer trace wraps it in this namespace
 )
 
-__all__ = ["RunSummary", "DataTable", "run_scenario", "emit_outputs"]
+__all__ = ["run_scenario", "emit_outputs"]
 
 SUMMARY_FILE = "summary.json"
 TABLE_FILE = "table.csv"
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    scenario: str
-    metrics: dict[str, Any]
-    config_hash: str
-    seed: int
-    version: str
-
-
-@dataclass(frozen=True)
-class DataTable:
-    """A CSV table: a list of row tuples, or any other iterable of trial record
-    blocks (``TRIAL_RECORD_DTYPE``, hold times following from the heralds as
-    in :class:`CampaignRecords`), each formatted by column as it arrives."""
-
-    columns: tuple[str, ...]
-    rows: list[tuple] | Iterable[np.ndarray]
 
 
 def _fmt(value: Any) -> str:
@@ -112,7 +94,7 @@ def _table_lines(rows: list[tuple]) -> str:
     return ((",".join(specs) + "\n") * len(rows)) % tuple(cells)
 
 
-def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], DataTable]:
+def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], tuple]:
     params = config.protocol
     taus = config.enhancement.tau_c_us_list or (params.tau_c_us,)
     ns = config.enhancement.n_write_max_list or (params.n_write_max,)
@@ -129,61 +111,58 @@ def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], DataTable]:
         "p4c_feedback": p4c_feedback_closed_form(params),
         "p4c_no_feedback": p4c_no_feedback(params),
     }
-    return metrics, DataTable(("tau_c_us", "n_write_max", "enhancement"), rows)
+    return metrics, (("tau_c_us", "n_write_max", "enhancement"), rows)
 
 
-def _run_hom_scan(config: RunConfig) -> tuple[dict[str, Any], DataTable]:
+def _run_hom_scan(config: RunConfig) -> tuple[dict[str, Any], tuple]:
     hom = config.hom
     if hom.domain is ScanDomain.TIME:
         half, abscissa_name, fwhm_name = hom.half_range_ns, "delay_ns", "fwhm_ns"
     else:
         half, abscissa_name, fwhm_name = hom.half_range_mhz, "detuning_mhz", "fwhm_mhz"
     grid = np.linspace(-half, half, hom.points)
-    scan = hom_scan(
+    coincidence, dip_fwhm = hom_scan(
         hom.alpha1, hom.alpha2, hom.p_i1, hom.p_i2, hom.coherence_fwhm_ns, hom.domain, grid
     )
     dip = hom_coincidence(hom.alpha1, hom.alpha2, hom.p_i1, hom.p_i2, overlap=1.0)
-    rows = list(zip(scan.abscissa.tolist(), scan.coincidence.tolist(), [scan.plateau] * grid.size))
+    rows = list(zip(grid.tolist(), coincidence.tolist(), [dip.c_plat] * grid.size))
     metrics = {
         "visibility": dip.visibility,
         "c_plat": dip.c_plat,
         "c_dip": dip.c_dip,
-        fwhm_name: scan.dip_fwhm,
+        fwhm_name: dip_fwhm,
     }
-    return metrics, DataTable((abscissa_name, "coincidence", "plateau"), rows)
+    return metrics, ((abscissa_name, "coincidence", "plateau"), rows)
 
 
-def _run_chsh(config: RunConfig) -> tuple[dict[str, Any], DataTable]:
+def _run_chsh(config: RunConfig) -> tuple[dict[str, Any], tuple]:
     chsh = config.chsh
     state = effective_state(chsh.alpha1, chsh.alpha2, chsh.p_i1, chsh.p_i2)
     pairs = chsh.settings.pairs()
     if chsh.mode is ChshMode.ANALYTIC:
         es = [correlation(state, t1, t2) for t1, t2 in pairs]
-        result = chsh_from_correlations(*es)
-        rows = [(t1, t2, e) for (t1, t2), e in zip(pairs, result.e)]
         metrics = {
-            "s": result.s,
+            "s": chsh_from_correlations(*es)[0],
             "w_singlet": state.w_singlet,
             "w_hh": state.w_hh,
             "w_vv": state.w_vv,
         }
-        return metrics, DataTable(("theta1_deg", "theta2_deg", "e"), rows)
-    result = sample_chsh_experiment(state, chsh.settings, chsh.n_events, config.seed)
-    rows = [
-        (t1, t2, *counts, e, sigma)
-        for (t1, t2), counts, e, sigma in zip(pairs, result.counts, result.e, result.sigma_e)
-    ]
+        rows = [(t1, t2, e) for (t1, t2), e in zip(pairs, es)]
+        return metrics, (("theta1_deg", "theta2_deg", "e"), rows)
+    counts, es, sigma_e = sample_chsh_experiment(state, chsh.settings, chsh.n_events, config.seed)
+    s, sigma_s, n_sigma = chsh_from_correlations(*es, sigmas=sigma_e)
     metrics = {
-        "s": result.s,
-        "sigma_s": result.sigma_s,
-        "n_sigma": result.n_sigma,
+        "s": s,
+        "sigma_s": sigma_s,
+        "n_sigma": n_sigma,
         "n_events_per_setting": chsh.n_events,
     }
+    rows = [(*pair, *count, e, sigma) for pair, count, e, sigma in zip(pairs, counts, es, sigma_e)]
     columns = ("theta1_deg", "theta2_deg", "n_pp", "n_pm", "n_mp", "n_mm", "e", "sigma_e")
-    return metrics, DataTable(columns, rows)
+    return metrics, (columns, rows)
 
 
-def _run_protocol_sim(config: RunConfig) -> tuple[dict[str, Any], DataTable | None]:
+def _run_protocol_sim(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
     params = config.protocol
     stats = simulate_campaign(params, config.trials, config.seed)
     metrics = {
@@ -194,11 +173,19 @@ def _run_protocol_sim(config: RunConfig) -> tuple[dict[str, Any], DataTable | No
         "trials": stats.trials,
     }
     records = CampaignRecords(params, config.trials, config.seed)
-    return metrics, DataTable(TRIAL_RECORD_DTYPE.names, records) if config.record_trials else None
+    return metrics, (TRIAL_RECORD_DTYPE.names, records) if config.record_trials else None
 
 
-def run_scenario(config: RunConfig) -> tuple[RunSummary, DataTable | None]:
-    """Dispatch the configured scenario and collect its outputs."""
+def run_scenario(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
+    """Run the configured scenario: its summary.json document and its table.
+
+    The table is None or ``(columns, rows)``, the rows a list of tuples or
+    any other iterable of trial record blocks (``TRIAL_RECORD_DTYPE``, hold
+    times following from the heralds as in :class:`CampaignRecords`).  A
+    non-finite metric raises, except an infinite ``n_sigma`` (an exact S
+    away from 2), which the document carries as the string ``"inf"`` or
+    ``"-inf"``.
+    """
     runners = {
         Scenario.ENHANCEMENT: _run_enhancement,
         Scenario.HOM_SCAN: _run_hom_scan,
@@ -207,19 +194,24 @@ def run_scenario(config: RunConfig) -> tuple[RunSummary, DataTable | None]:
     }
     try:
         metrics, table = runners[config.scenario](config)
+        for key, value in metrics.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                if key != "n_sigma" or math.isnan(value):
+                    raise ValueError(f"metric {key} is not finite, got {value}")
+                metrics[key] = str(value)
     except ValueError as exc:
         raise ValueError(f"{config.scenario.value}: {exc}") from exc
-    summary = RunSummary(
-        scenario=config.scenario.value,
-        metrics=metrics,
-        config_hash=config.config_hash,
-        seed=config.seed,
-        version=__version__,
-    )
-    return summary, table
+    doc = {
+        "scenario": config.scenario.value,
+        "metrics": metrics,
+        "config_hash": config.config_hash,
+        "seed": config.seed,
+        "version": __version__,
+    }
+    return doc, table
 
 
-def emit_outputs(summary: RunSummary, table: DataTable | None, path: str | Path) -> None:
+def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> None:
     """Write summary.json (and table.csv when present) under ``path``.
 
     LF newlines; floats carry at least six significant digits.  Tables are
@@ -227,24 +219,14 @@ def emit_outputs(summary: RunSummary, table: DataTable | None, path: str | Path)
     """
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics = {
-        k: (v if not isinstance(v, float) or np.isfinite(v) else str(v))
-        for k, v in summary.metrics.items()
-    }
-    doc = {
-        "scenario": summary.scenario,
-        "metrics": metrics,
-        "config_hash": summary.config_hash,
-        "seed": summary.seed,
-        "version": summary.version,
-    }
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     (out_dir / SUMMARY_FILE).write_bytes(text.encode("utf-8"))
     if table is None:
         return
+    columns, rows = table
     with (out_dir / TABLE_FILE).open("w", encoding="utf-8", newline="\n") as out:
-        out.write(",".join(table.columns) + "\n")
-        if isinstance(table.rows, list):
-            out.write(_table_lines(table.rows))
+        out.write(",".join(columns) + "\n")
+        if isinstance(rows, list):
+            out.write(_table_lines(rows))
         else:
-            out.writelines(map(_record_lines, table.rows))
+            out.writelines(map(_record_lines, rows))

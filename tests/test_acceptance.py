@@ -96,33 +96,24 @@ def test_c4_hom_visibility():
 
 
 def test_c5_time_bandwidth_consistency():
-    time_scan = hom_scan(0.12, 0.17, 1.0, 1.0, 25.0, ScanDomain.TIME, [0.0])
-    freq_scan = hom_scan(0.12, 0.17, 1.0, 1.0, 25.0, ScanDomain.FREQUENCY, [0.0])
-    ok = time_scan.dip_fwhm == 25.0 and abs(freq_scan.dip_fwhm - 35.31) <= 0.05
+    _, time_fwhm = hom_scan(0.12, 0.17, 1.0, 1.0, 25.0, ScanDomain.TIME, [0.0])
+    _, freq_fwhm = hom_scan(0.12, 0.17, 1.0, 1.0, 25.0, ScanDomain.FREQUENCY, [0.0])
+    ok = time_fwhm == 25.0 and abs(freq_fwhm - 35.31) <= 0.05
     report(
         5,
         "time-bandwidth consistency",
         ok,
-        f"time fwhm={time_scan.dip_fwhm} ns, frequency fwhm={freq_scan.dip_fwhm:.4f} MHz",
+        f"time fwhm={time_fwhm} ns, frequency fwhm={freq_fwhm:.4f} MHz",
     )
     assert ok
 
 
 def test_c6_chsh_measured_fixture():
-    result = chsh_from_correlations(
+    s, sigma_s, n_sigma = chsh_from_correlations(
         -0.613, 0.606, 0.575, 0.579, sigmas=(0.037, 0.038, 0.039, 0.039)
     )
-    ok = (
-        abs(result.s - 2.373) <= 1e-3
-        and abs(result.sigma_s - 0.0765) <= 5e-4
-        and abs(result.n_sigma - 4.87) <= 0.05
-    )
-    report(
-        6,
-        "CHSH fixture",
-        ok,
-        f"S={result.s:.4f}, sigma_S={result.sigma_s:.5f}, n_sigma={result.n_sigma:.3f}",
-    )
+    ok = abs(s - 2.373) <= 1e-3 and abs(sigma_s - 0.0765) <= 5e-4 and abs(n_sigma - 4.87) <= 0.05
+    report(6, "CHSH fixture", ok, f"S={s:.4f}, sigma_S={sigma_s:.5f}, n_sigma={n_sigma:.3f}")
     assert ok
 
 
@@ -144,24 +135,25 @@ def test_c8_sampled_chsh_consistency():
     start = time.perf_counter()
     state = effective_state(0.145, 0.145, 1.0, 1.0)
     n = 1_000_000
-    result = sample_chsh_experiment(state, AnalyzerSettings(), n, seed=0)
+    counts_by_setting, es, sigma_e = sample_chsh_experiment(state, AnalyzerSettings(), n, seed=0)
+    s, sigma_s, _ = chsh_from_correlations(*es, sigmas=sigma_e)
     rng = np.random.default_rng(1)
     resampled = np.empty((1000, 4))
-    for k, counts in enumerate(result.counts):
+    for k, counts in enumerate(counts_by_setting):
         draws = rng.multinomial(n, np.asarray(counts, dtype=float) / n, size=1000)
         resampled[:, k] = (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / n
     s_boot = float(
         np.abs(resampled[:, 0] - resampled[:, 1] - resampled[:, 2] - resampled[:, 3]).std(ddof=1)
     )
     elapsed = time.perf_counter() - start
-    close = abs(result.s - 2.2911) < 4.0 * result.sigma_s
-    se_ok = abs(result.sigma_s - s_boot) / s_boot < 0.2
+    close = abs(s - 2.2911) < 4.0 * sigma_s
+    se_ok = abs(sigma_s - s_boot) / s_boot < 0.2
     ok = close and se_ok and elapsed < 30.0
     report(
         8,
         "sampled CHSH consistency",
         ok,
-        f"S={result.s:.4f} (sigma_S={result.sigma_s:.5f}, bootstrap {s_boot:.5f}), {elapsed:.1f}s",
+        f"S={s:.4f} (sigma_S={sigma_s:.5f}, bootstrap {s_boot:.5f}), {elapsed:.1f}s",
     )
     assert ok
 
@@ -211,7 +203,7 @@ def test_c9_property_suites(tmp_path):
             correlation(state, t1, t2p),
             correlation(state, t1p, t2),
             correlation(state, t1p, t2p),
-        ).s
+        )[0]
         if s > 2.0 * ROOT2 + 1e-12:
             tsirelson = False
             break
@@ -246,8 +238,7 @@ def test_c9_property_suites(tmp_path):
 
     config_text = "scenario = chsh\nchsh.mode = sampled\nchsh.n_events = 10000\n"
     for sub in ("x", "y"):
-        summary, table = run_scenario(parse_config(config_text))
-        emit_outputs(summary, table, tmp_path / sub)
+        emit_outputs(*run_scenario(parse_config(config_text)), tmp_path / sub)
     checks.append(
         (tmp_path / "x" / "summary.json").read_bytes()
         == (tmp_path / "y" / "summary.json").read_bytes()

@@ -80,11 +80,25 @@ def test_mode_rejects_non_finite_width(width):
         TemporalMode(coherence_fwhm_ns=width)
 
 
+@pytest.mark.parametrize("width", [1e-200, 5e-324])
+def test_mode_rejects_width_whose_sigma_squared_underflows(width):
+    # the time overlap would be 0/0 at zero delay
+    with pytest.raises(ValueError, match="coherence_fwhm_ns"):
+        TemporalMode(coherence_fwhm_ns=width)
+
+
+def test_overlap_of_huge_width_reaches_zero_silently():
+    # the frequency exponent overflows to -inf, and exp(-inf) = 0 is the limit
+    wide = TemporalMode(coherence_fwhm_ns=1e300)
+    detuned = TemporalMode(coherence_fwhm_ns=1e300, frequency_offset_mhz=1.0)
+    assert mode_overlap(wide, detuned) == 0.0
+
+
 def test_time_bandwidth_identity():
     assert TIME_BANDWIDTH_PRODUCT == pytest.approx(0.88254, abs=5e-6)
     for fwhm in np.linspace(1.0, 200.0, 40):
-        scan = hom_scan(0.0, 0.0, 1.0, 1.0, fwhm, ScanDomain.FREQUENCY, [0.0])
-        fwhm_ghz = scan.dip_fwhm * 1e-3
+        _, dip_fwhm = hom_scan(0.0, 0.0, 1.0, 1.0, fwhm, ScanDomain.FREQUENCY, [0.0])
+        fwhm_ghz = dip_fwhm * 1e-3
         assert fwhm * fwhm_ghz == pytest.approx(TIME_BANDWIDTH_PRODUCT, rel=1e-12)
 
 
@@ -180,32 +194,32 @@ def crossing_fwhm(scan_fn, plateau, floor):
 
 def test_scan_time_fwhm_matches_numeric_crossing():
     fwhm = 25.0
-    scan = hom_scan(0.12, 0.17, 1.0, 1.0, fwhm, ScanDomain.TIME, np.linspace(-60, 60, 241))
-    floor = scan.coincidence.min()
+    coincidence, dip_fwhm = hom_scan(
+        0.12, 0.17, 1.0, 1.0, fwhm, ScanDomain.TIME, np.linspace(-60, 60, 241)
+    )
+    floor = coincidence.min()
 
     def curve(x):
-        return float(
-            hom_scan(0.12, 0.17, 1.0, 1.0, fwhm, ScanDomain.TIME, [x]).coincidence[0]
-        )
+        return float(hom_scan(0.12, 0.17, 1.0, 1.0, fwhm, ScanDomain.TIME, [x])[0][0])
 
-    numeric = crossing_fwhm(curve, scan.plateau, curve(0.0))
-    assert scan.dip_fwhm == 25.0  # identity by construction
+    numeric = crossing_fwhm(curve, hom_coincidence(0.12, 0.17, 1.0, 1.0).c_plat, curve(0.0))
+    assert dip_fwhm == 25.0  # identity by construction
     assert numeric == pytest.approx(25.0, abs=1e-6)
     assert floor == pytest.approx(curve(0.0), abs=1e-15)
 
 
 def test_scan_frequency_fwhm_matches_numeric_crossing():
     fwhm = 25.0
-    scan = hom_scan(0.0, 0.0, 1.0, 1.0, fwhm, ScanDomain.FREQUENCY, np.linspace(-30, 30, 121))
+    _, dip_fwhm = hom_scan(
+        0.0, 0.0, 1.0, 1.0, fwhm, ScanDomain.FREQUENCY, np.linspace(-30, 30, 121)
+    )
 
     def curve(x):
-        return float(
-            hom_scan(0.0, 0.0, 1.0, 1.0, fwhm, ScanDomain.FREQUENCY, [x]).coincidence[0]
-        )
+        return float(hom_scan(0.0, 0.0, 1.0, 1.0, fwhm, ScanDomain.FREQUENCY, [x])[0][0])
 
-    numeric = crossing_fwhm(curve, scan.plateau, curve(0.0))
-    assert scan.dip_fwhm == pytest.approx(35.3017, abs=1e-3)
-    assert numeric == pytest.approx(scan.dip_fwhm, abs=1e-6)
+    numeric = crossing_fwhm(curve, hom_coincidence(0.0, 0.0, 1.0, 1.0).c_plat, curve(0.0))
+    assert dip_fwhm == pytest.approx(35.3017, abs=1e-3)
+    assert numeric == pytest.approx(dip_fwhm, abs=1e-6)
 
 
 @pytest.mark.parametrize("field", ["arrival_offset_ns", "frequency_offset_mhz"])
@@ -216,11 +230,12 @@ def test_mode_rejects_non_finite_offset(field, value):
 
 
 def test_scan_tails_reach_plateau():
+    plateau = hom_coincidence(0.12, 0.17, 1.0, 1.0).c_plat
     for domain, far in ((ScanDomain.TIME, 1e4), (ScanDomain.FREQUENCY, 1e4)):
-        scan = hom_scan(0.12, 0.17, 1.0, 1.0, 25.0, domain, [-far, 0.0, far])
-        assert scan.coincidence[0] == pytest.approx(scan.plateau, rel=1e-12)
-        assert scan.coincidence[-1] == pytest.approx(scan.plateau, rel=1e-12)
-        assert scan.coincidence[1] < scan.plateau
+        coincidence, _ = hom_scan(0.12, 0.17, 1.0, 1.0, 25.0, domain, [-far, 0.0, far])
+        assert coincidence[0] == pytest.approx(plateau, rel=1e-12)
+        assert coincidence[-1] == pytest.approx(plateau, rel=1e-12)
+        assert coincidence[1] < plateau
 
 
 def test_scan_rejects_bad_grid():
@@ -326,16 +341,16 @@ def test_correlation_consistent_with_outcome_probabilities():
 
 
 def test_chsh_measured_fixture():
-    result = chsh_from_correlations(
+    s, sigma_s, n_sigma = chsh_from_correlations(
         -0.613, 0.606, 0.575, 0.579, sigmas=(0.037, 0.038, 0.039, 0.039)
     )
-    assert result.s == pytest.approx(2.373, abs=1e-12)
-    assert result.sigma_s == pytest.approx(0.07651797174520505, abs=1e-12)
-    assert result.n_sigma == pytest.approx(4.874671812290602, abs=1e-12)
+    assert s == pytest.approx(2.373, abs=1e-12)
+    assert sigma_s == pytest.approx(0.07651797174520505, abs=1e-12)
+    assert n_sigma == pytest.approx(4.874671812290602, abs=1e-12)
 
 
 def test_chsh_zero_correlations():
-    assert chsh_from_correlations(0.0, 0.0, 0.0, 0.0).s == 0.0
+    assert chsh_from_correlations(0.0, 0.0, 0.0, 0.0)[0] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -348,8 +363,7 @@ def test_chsh_zero_correlations():
 )
 def test_chsh_exact_s_lies_on_its_own_side_of_two(es, s, n_sigma):
     # zero standard errors: S is exact, so only its side of 2 is significant
-    result = chsh_from_correlations(*es, sigmas=(0.0, 0.0, 0.0, 0.0))
-    assert (result.s, result.sigma_s, result.n_sigma) == (s, 0.0, n_sigma)
+    assert chsh_from_correlations(*es, sigmas=(0.0, 0.0, 0.0, 0.0)) == (s, 0.0, n_sigma)
 
 
 def test_chsh_rejects_out_of_range():
@@ -373,8 +387,7 @@ def test_chsh_rejects_bad_sigma(value):
 
 
 def test_chsh_without_sigmas():
-    result = chsh_from_correlations(-0.5, 0.5, 0.5, 0.5)
-    assert result.sigma_s is None and result.n_sigma is None
+    assert chsh_from_correlations(-0.5, 0.5, 0.5, 0.5) == (2.0, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +424,7 @@ def test_predicted_s_matches_compositional_route():
     for alpha in np.linspace(0.0, 1.0, 41):
         state = effective_state(alpha, alpha, 1.0, 1.0)
         es = [correlation(state, t1, t2) for t1, t2 in settings.pairs()]
-        s = chsh_from_correlations(*es).s
+        s = chsh_from_correlations(*es)[0]
         assert abs(s - predicted_S(alpha)) <= 1e-12
 
 
@@ -428,7 +441,7 @@ def test_tsirelson_bound_random_states_and_angles():
             correlation(state, t1, t2p),
             correlation(state, t1p, t2),
             correlation(state, t1p, t2p),
-        ).s
+        )[0]
         assert s <= 2.0 * ROOT2 + 1e-12
 
 
@@ -441,7 +454,6 @@ def test_sample_deterministic():
     a = sample_chsh_experiment(state, AnalyzerSettings(), 10_000, seed=77)
     b = sample_chsh_experiment(state, AnalyzerSettings(), 10_000, seed=77)
     assert a == b
-    assert a.counts is not None
 
 
 def test_sample_singlet_equal_angles_exact():
@@ -449,33 +461,35 @@ def test_sample_singlet_equal_angles_exact():
     settings = AnalyzerSettings(
         theta1_deg=10.0, theta1_prime_deg=10.0, theta2_deg=10.0, theta2_prime_deg=10.0
     )
-    result = sample_chsh_experiment(singlet, settings, 5_000, seed=3)
-    assert result.e == (-1.0, -1.0, -1.0, -1.0)
-    for n_pp, n_pm, n_mp, n_mm in result.counts:
+    counts, es, sigma_e = sample_chsh_experiment(singlet, settings, 5_000, seed=3)
+    assert es == [-1.0, -1.0, -1.0, -1.0] and sigma_e == [0.0, 0.0, 0.0, 0.0]
+    for n_pp, n_pm, n_mp, n_mm in counts:
         assert n_pp == 0 and n_mm == 0
         assert n_pm + n_mp == 5_000
 
 
 def test_sample_converges_to_prediction():
     state = effective_state(0.145, 0.145, 1.0, 1.0)
-    result = sample_chsh_experiment(state, AnalyzerSettings(), 10_000_000, seed=42)
-    assert abs(result.s - predicted_S(0.145)) < 4.0 * result.sigma_s
+    _, es, sigma_e = sample_chsh_experiment(state, AnalyzerSettings(), 10_000_000, seed=42)
+    s, sigma_s, _ = chsh_from_correlations(*es, sigmas=sigma_e)
+    assert abs(s - predicted_S(0.145)) < 4.0 * sigma_s
 
 
 def test_sample_sigma_matches_bootstrap():
     state = effective_state(0.145, 0.145, 1.0, 1.0)
     n = 10_000
-    result = sample_chsh_experiment(state, AnalyzerSettings(), n, seed=8)
+    counts_by_setting, es, sigma_e = sample_chsh_experiment(state, AnalyzerSettings(), n, seed=8)
     rng = np.random.default_rng(9)
     resampled = np.empty((1000, 4))
-    for k, counts in enumerate(result.counts):
+    for k, counts in enumerate(counts_by_setting):
         probs = np.asarray(counts, dtype=float) / n
         draws = rng.multinomial(n, probs, size=1000)
         resampled[:, k] = (draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]) / n
     s_boot = np.abs(
         resampled[:, 0] - resampled[:, 1] - resampled[:, 2] - resampled[:, 3]
     )
-    assert result.sigma_s == pytest.approx(float(s_boot.std(ddof=1)), rel=0.2)
+    sigma_s = chsh_from_correlations(*es, sigmas=sigma_e)[1]
+    assert sigma_s == pytest.approx(float(s_boot.std(ddof=1)), rel=0.2)
 
 
 def test_sample_rejects_zero_events():

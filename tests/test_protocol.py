@@ -15,6 +15,7 @@ from heraldsync.protocol import (
     _CHUNK_SIZE,
     _four_fold_table,
     _heralds,
+    _holds,
     _retrieved,
     _wait_success,
     CampaignRecords,
@@ -114,6 +115,16 @@ def test_decay_rejects_negative_hold():
 def test_decay_rejects_non_finite(model, gamma0, hold, tau_c_us, name):
     with pytest.raises(ValueError, match=name):
         memory_retrieval_efficiency(gamma0, hold, model, tau_c_us)
+
+
+@pytest.mark.parametrize("model", list(DecayModel))
+def test_decay_extremes(model):
+    # 2*tau_c**2 underflowing to 0 would make the Gaussian exponent 0/0
+    with pytest.raises(ValueError, match="tau_c_us"):
+        memory_retrieval_efficiency(0.08, 0.0, model, 5e-324)
+    # an exponent overflowing to -inf gives the exact limit 0, with no warning
+    assert memory_retrieval_efficiency(0.08, 1e300, model, 12.0) == 0.0
+    assert memory_retrieval_efficiency(0.08, 1e300, model, 1e-150) == 0.0
 
 
 def test_decay_bounded_by_gamma0():
@@ -361,18 +372,16 @@ def test_retrieved_counts_surviving_excitations():
 
 def test_trial_certain_coincidence():
     params = make_params(p_a=1.0, p_b=1.0, gamma0=1.0, n_write_max=1, tau_c_us=1e9)
-    out = run_protocol_trial(params, np.random.default_rng(0))
-    assert out.four_fold
-    assert out.herald_a == 0 and out.herald_b == 0
-    assert out.hold_time_a_ns == out.hold_time_b_ns == params.dt_read_ns
+    assert run_protocol_trial(params, np.random.default_rng(0)) == (0, 0, True)
+    assert _holds(params, 0, 0) == (params.dt_read_ns, params.dt_read_ns)
 
 
 def test_trial_dead_source_never_coincides():
     params = make_params(p_a=0.0, p_b=1.0, gamma0=1.0)
     for seed in range(20):
-        out = run_protocol_trial(params, np.random.default_rng(seed))
-        assert not out.four_fold
-        assert out.herald_a is None
+        herald_a, _, four_fold = run_protocol_trial(params, np.random.default_rng(seed))
+        assert not four_fold
+        assert herald_a is None
 
 
 @pytest.mark.parametrize("dead", ["a", "b", "both"])
@@ -426,18 +435,20 @@ def test_trial_causality_and_hold_accounting():
             dt_read_ns=rng.uniform(0.0, 500.0),
             latency_ns=rng.uniform(0.0, 300.0),
         )
-        out = run_protocol_trial(params, rng)
-        if out.four_fold:
-            assert out.herald_a is not None and out.herald_b is not None
-        if out.herald_a is not None and out.herald_b is not None:
+        herald_a, herald_b, four_fold = run_protocol_trial(params, rng)
+        if four_fold:
+            assert herald_a is not None and herald_b is not None
+        if herald_a is not None and herald_b is not None:
+            # the trial reads both memories after these holds
+            holds = tuple(float(hold) for hold in _holds(params, herald_a, herald_b))
             overhead = 2.0 * params.latency_ns + params.dt_read_ns
-            early, late = sorted((out.hold_time_a_ns, out.hold_time_b_ns))
+            early, late = sorted(holds)
             assert early == pytest.approx(overhead)
             assert late >= early
-            gap = abs(out.herald_a - out.herald_b) * params.dt_write_ns
+            gap = abs(herald_a - herald_b) * params.dt_write_ns
             assert late - early == pytest.approx(gap)
-            assert min(out.hold_time_a_ns, out.hold_time_b_ns) >= params.dt_read_ns
-        for herald in (out.herald_a, out.herald_b):
+            assert min(holds) >= params.dt_read_ns
+        for herald in (herald_a, herald_b):
             assert herald is None or 0 <= herald < params.n_write_max
 
 
@@ -860,7 +871,7 @@ def test_campaign_matches_trial_loop():
     params = make_params(p_a=0.2, p_b=0.15, gamma0=0.7, n_write_max=4)
     n = 40_000
     rng = np.random.default_rng(11)
-    loop_hits = sum(run_protocol_trial(params, rng).four_fold for _ in range(n))
+    loop_hits = sum(run_protocol_trial(params, rng)[2] for _ in range(n))
     stats = simulate_campaign(params, n, seed=12)
     p_pool = (loop_hits + stats.four_fold_count) / (2 * n)
     se = math.sqrt(2.0 * p_pool * (1.0 - p_pool) / n)
@@ -896,7 +907,7 @@ def test_trial_loop_matches_closed_form(
         decay_model=decay_model,
     )
     rng = np.random.default_rng(31)
-    hits = sum(run_protocol_trial(params, rng).four_fold for _ in range(TRIAL_LOOP_TRIALS))
+    hits = sum(run_protocol_trial(params, rng)[2] for _ in range(TRIAL_LOOP_TRIALS))
     stats = CoincidenceStats.from_counts(TRIAL_LOOP_TRIALS, hits)
     assert abs(z_score(stats, p4c_feedback_closed_form(params))) < 4.0
 

@@ -15,7 +15,7 @@ import heraldsync
 from heraldsync.cli import main
 from heraldsync.config import parse_config
 from heraldsync.protocol import TRIAL_RECORD_DTYPE
-from heraldsync.runner import DataTable, _fmt, emit_outputs, run_scenario
+from heraldsync.runner import _fmt, emit_outputs, run_scenario
 
 
 def run_text(text: str):
@@ -34,51 +34,51 @@ def test_public_names_resolve():
 
 
 def test_enhancement_scenario():
-    summary, table = run_text("scenario = enhancement\n")
-    assert 129.0 <= summary.metrics["enhancement"] <= 143.0
-    assert summary.metrics["p4c_no_feedback"] == pytest.approx(2.557e-8, rel=1e-3)
-    assert table.columns == ("tau_c_us", "n_write_max", "enhancement")
-    assert len(table.rows) == 1
+    doc, (columns, rows) = run_text("scenario = enhancement\n")
+    assert 129.0 <= doc["metrics"]["enhancement"] <= 143.0
+    assert doc["metrics"]["p4c_no_feedback"] == pytest.approx(2.557e-8, rel=1e-3)
+    assert columns == ("tau_c_us", "n_write_max", "enhancement")
+    assert len(rows) == 1
 
 
 def test_enhancement_sweep_rows():
-    _, table = run_text(
+    _, (_, rows) = run_text(
         "scenario = enhancement\n"
         "enhancement.tau_c_us_list = 6, 12\n"
         "enhancement.n_write_max_list = 4, 8, 12\n"
     )
-    assert len(table.rows) == 6
+    assert len(rows) == 6
     # enhancement grows along both sweep axes
-    by_key = {(tau, n): e for tau, n, e in table.rows}
+    by_key = {(tau, n): e for tau, n, e in rows}
     assert by_key[(12.0, 12)] > by_key[(6.0, 12)] > by_key[(6.0, 4)]
 
 
 def test_hom_scan_time_domain():
-    summary, table = run_text("scenario = hom_scan\n")
-    assert table.columns == ("delay_ns", "coincidence", "plateau")
-    assert summary.metrics["fwhm_ns"] == 25.0
-    assert summary.metrics["visibility"] == pytest.approx(1.0 / 1.145, abs=1e-12)
-    assert len(table.rows) == 61
+    doc, (columns, rows) = run_text("scenario = hom_scan\n")
+    assert columns == ("delay_ns", "coincidence", "plateau")
+    assert doc["metrics"]["fwhm_ns"] == 25.0
+    assert doc["metrics"]["visibility"] == pytest.approx(1.0 / 1.145, abs=1e-12)
+    assert len(rows) == 61
 
 
 def test_hom_scan_frequency_domain():
-    summary, table = run_text("scenario = hom_scan\nhom.domain = frequency\n")
-    assert table.columns == ("detuning_mhz", "coincidence", "plateau")
-    assert summary.metrics["fwhm_mhz"] == pytest.approx(35.3017, abs=1e-3)
-    assert table.rows[0][0] == -30.0 and table.rows[-1][0] == 30.0
+    doc, (columns, rows) = run_text("scenario = hom_scan\nhom.domain = frequency\n")
+    assert columns == ("detuning_mhz", "coincidence", "plateau")
+    assert doc["metrics"]["fwhm_mhz"] == pytest.approx(35.3017, abs=1e-3)
+    assert rows[0][0] == -30.0 and rows[-1][0] == 30.0
 
 
 def test_chsh_analytic_scenario():
-    summary, table = run_text("scenario = chsh\n")
-    assert summary.metrics["s"] == pytest.approx(2.2911, abs=5e-4)
-    assert table.columns == ("theta1_deg", "theta2_deg", "e")
+    doc, (columns, _) = run_text("scenario = chsh\n")
+    assert doc["metrics"]["s"] == pytest.approx(2.2911, abs=5e-4)
+    assert columns == ("theta1_deg", "theta2_deg", "e")
 
 
 def test_chsh_sampled_scenario():
-    summary, table = run_text(
+    doc, (columns, rows) = run_text(
         "scenario = chsh\nchsh.mode = sampled\nchsh.n_events = 20000\nseed = 4\n"
     )
-    assert table.columns == (
+    assert columns == (
         "theta1_deg",
         "theta2_deg",
         "n_pp",
@@ -88,22 +88,23 @@ def test_chsh_sampled_scenario():
         "e",
         "sigma_e",
     )
-    assert len(table.rows) == 4
-    for row in table.rows:
+    assert len(rows) == 4
+    for row in rows:
         assert row[2] + row[3] + row[4] + row[5] == 20000
-    assert summary.metrics["sigma_s"] > 0.0
-    assert abs(summary.metrics["s"] - 2.2911) < 6.0 * summary.metrics["sigma_s"]
+    metrics = doc["metrics"]
+    assert metrics["sigma_s"] > 0.0
+    assert abs(metrics["s"] - 2.2911) < 6.0 * metrics["sigma_s"]
 
 
 def test_protocol_sim_scenario():
-    summary, table = run_text("scenario = protocol_sim\ntrials = 50000\nseed = 1\n")
+    doc, table = run_text("scenario = protocol_sim\ntrials = 50000\nseed = 1\n")
     for key in ("p4c_hat", "p4c_closed_form", "std_err"):
-        assert key in summary.metrics
+        assert key in doc["metrics"]
     assert table is None
 
 
 def test_protocol_sim_records_table():
-    summary, table = run_text(
+    doc, (columns, rows) = run_text(
         "scenario = protocol_sim\n"
         "trials = 2000\n"
         "protocol_sim.record_trials = true\n"
@@ -112,9 +113,9 @@ def test_protocol_sim_records_table():
         "protocol.source_a.gamma0 = 0.9\n"
         "protocol.source_b.gamma0 = 0.9\n"
     )
-    assert table.columns == ("trial", "herald_a", "herald_b", "hold_a_ns", "hold_b_ns", "four_fold")
-    assert sum(block.size for block in table.rows) == 2000
-    assert summary.metrics["four_fold_count"] > 0
+    assert columns == ("trial", "herald_a", "herald_b", "hold_a_ns", "hold_b_ns", "four_fold")
+    assert sum(block.size for block in rows) == 2000
+    assert doc["metrics"]["four_fold_count"] > 0
 
 
 RECORD_SOURCES_DENSE = (
@@ -247,19 +248,19 @@ def test_record_table_matches_per_cell_formatting(tmp_path):
     for name, herald in (("hold_a_ns", "herald_a"), ("hold_b_ns", "herald_b")):
         records[name] = np.where(joint, (later - records[herald]) * 800.0 + 400.0, np.nan)
     records["four_fold"] = joint & (rng.random(records.size) < 0.5)
-    table = DataTable(records.dtype.names, (records[:65_536], records[65_536:]))
-    summary, _ = run_text("scenario = enhancement\n")
-    emit_outputs(summary, table, tmp_path)
-    expected = [",".join(table.columns)]
+    table = (records.dtype.names, (records[:65_536], records[65_536:]))
+    doc, _ = run_text("scenario = enhancement\n")
+    emit_outputs(doc, table, tmp_path)
+    expected = [",".join(records.dtype.names)]
     expected += [",".join(_fmt(v) for v in row) for row in records.tolist()]
     assert (tmp_path / "table.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_record_table_emits_identically_twice(tmp_path):
     # the record blocks are re-drawn on every pass, not consumed by the first
-    summary, table = run_text(RECORDS + "seed = 2\ntrials = 70000\n" + RECORD_SOURCES_DENSE)
+    doc, table = run_text(RECORDS + "seed = 2\ntrials = 70000\n" + RECORD_SOURCES_DENSE)
     for directory in ("first", "second"):
-        emit_outputs(summary, table, tmp_path / directory)
+        emit_outputs(doc, table, tmp_path / directory)
     first = (tmp_path / "first" / "table.csv").read_bytes()
     assert first.count(b"\n") == 70_001
     assert (tmp_path / "second" / "table.csv").read_bytes() == first
@@ -287,10 +288,9 @@ def test_generic_table_matches_per_cell_formatting(tmp_path):
         )
         for k in range(n)
     ]
-    table = DataTable(tuple("abcdefg"), rows)
-    summary, _ = run_text("scenario = enhancement\n")
-    emit_outputs(summary, table, tmp_path)
-    expected = [",".join(table.columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    doc, _ = run_text("scenario = enhancement\n")
+    emit_outputs(doc, (tuple("abcdefg"), rows), tmp_path)
+    expected = ["a,b,c,d,e,f,g"] + [",".join(_fmt(v) for v in row) for row in rows]
     assert (tmp_path / "table.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
@@ -304,8 +304,8 @@ def test_domain_error_carries_scenario_context():
 
 
 def test_emit_outputs_files(tmp_path):
-    summary, table = run_text("scenario = hom_scan\n")
-    emit_outputs(summary, table, tmp_path / "run")
+    doc, table = run_text("scenario = hom_scan\n")
+    emit_outputs(doc, table, tmp_path / "run")
     summary_path = tmp_path / "run" / "summary.json"
     table_path = tmp_path / "run" / "table.csv"
     assert summary_path.exists() and table_path.exists()
@@ -322,18 +322,18 @@ def test_emit_outputs_files(tmp_path):
 
 
 def test_emitted_numbers_round_trip(tmp_path):
-    summary, table = run_text("scenario = hom_scan\nhom.points = 11\n")
-    emit_outputs(summary, table, tmp_path)
+    doc, table = run_text("scenario = hom_scan\nhom.points = 11\n")
+    emit_outputs(doc, table, tmp_path)
     lines = (tmp_path / "table.csv").read_text().splitlines()[1:]
-    for line, row in zip(lines, table.rows):
+    for line, row in zip(lines, table[1]):
         for printed, value in zip(line.split(","), row):
             assert float(printed) == pytest.approx(float(value), rel=1e-9)
 
 
 def test_rerun_byte_identical(tmp_path):
     for directory in ("first", "second"):
-        summary, table = run_text("scenario = chsh\nchsh.mode = sampled\nchsh.n_events = 5000\n")
-        emit_outputs(summary, table, tmp_path / directory)
+        doc, table = run_text("scenario = chsh\nchsh.mode = sampled\nchsh.n_events = 5000\n")
+        emit_outputs(doc, table, tmp_path / directory)
     first = tmp_path / "first"
     second = tmp_path / "second"
     assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
@@ -534,4 +534,53 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, key, scenario, value):
     cfg = write_config(tmp_path, text)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "scenario,lines",
+    [
+        # 2*tau_c**2 underflows, so the Gaussian decay would be 0/0
+        ("enhancement", "protocol.tau_c_us = 5e-324\nprotocol.dt_read_ns = 0"),
+        ("enhancement", "enhancement.tau_c_us_list = 12, 5e-324\nprotocol.dt_read_ns = 0"),
+        ("protocol_sim", "protocol.tau_c_us = 1e-200\nprotocol.dt_read_ns = 0"),
+        # 4*sigma**2 underflows, so the HOM overlap would be 0/0
+        ("hom_scan", "hom.coherence_fwhm_ns = 1e-200"),
+        ("hom_scan", "hom.coherence_fwhm_ns = 5e-324\nhom.domain = frequency"),
+    ],
+)
+def test_cli_rejects_widths_whose_square_underflows(tmp_path, capsys, scenario, lines):
+    cfg = write_config(tmp_path, f"scenario = {scenario}\n{lines}\n")
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    key = lines.split(" = ", 1)[0]
+    assert f"(key: {key} line: 2)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "scenario,lines",
+    [
+        # the decay and overlap exponents overflow to -inf: exp gives its exact limit 0
+        ("protocol_sim", "protocol.dt_read_ns = 1e300\ntrials = 1000"),
+        ("hom_scan", "hom.coherence_fwhm_ns = 1e300\nhom.domain = frequency"),
+    ],
+)
+def test_cli_huge_values_reach_their_limits_silently(tmp_path, scenario, lines):
+    cfg = write_config(tmp_path, f"scenario = {scenario}\n{lines}\n")
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    metrics = json.loads((tmp_path / "out" / "summary.json").read_text())["metrics"]
+    assert all(math.isfinite(value) for value in metrics.values())
+
+
+@pytest.mark.parametrize(
+    "scenario,metric", [("enhancement", "p4c_feedback"), ("protocol_sim", "p4c_closed_form")]
+)
+def test_cli_non_finite_metric_is_a_domain_error(tmp_path, capsys, monkeypatch, scenario, metric):
+    # any leak past the parser exits 4 naming the metric, and writes nothing
+    monkeypatch.setattr("heraldsync.runner.p4c_feedback_closed_form", lambda params: math.nan)
+    cfg = write_config(tmp_path, f"scenario = {scenario}\ntrials = 1000\n")
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert f"{scenario}: metric {metric} is not finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
