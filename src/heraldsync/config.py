@@ -17,8 +17,8 @@ from enum import Enum
 from typing import Any, Callable, Mapping
 
 from .interference import AnalyzerSettings, ScanDomain, TemporalMode, _two_photon_rates
-from .photon_stats import SourceParams, _check_nonnegative
-from .protocol import ProtocolParams, _check_tau_c, default_params
+from .photon_stats import SourceParams
+from .protocol import N_WRITE_MAX_CAP, ProtocolParams, _check_tau_c, default_params
 
 __all__ = [
     "ConfigError",
@@ -35,9 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0
-#: Largest write budget N accepted (``protocol.n_write_max`` and every
-#: ``enhancement.n_write_max_list`` entry); the closed form allocates O(N).
-N_WRITE_MAX_CAP = 100_000
 #: Largest ``hom.points`` accepted; the scan allocates and writes its grid.
 HOM_POINTS_CAP = 1_000_000
 
@@ -81,7 +78,9 @@ class HomSettings:
         TemporalMode(coherence_fwhm_ns=self.coherence_fwhm_ns)
         _two_photon_rates(self.alpha1, self.alpha2, self.p_i1, self.p_i2)
         for name in ("half_range_ns", "half_range_mhz"):
-            _check_nonnegative(name, getattr(self, name))
+            half = getattr(self, name)  # the scan grid spans 2 * half
+            if not (half >= 0.0 and math.isfinite(2.0 * half)):
+                raise ValueError(f"{name} must be nonnegative with 2*{name} finite, got {half}")
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,10 @@ __all__ = [
 
 _CHUNK_SIZE = 1 << 16  # trials per random substream; fixed so results never
                        # depend on how a campaign is split across workers
+_GRID_BLOCK = 16  # tau rows per block of the sweep grid, which bounds its memory
+#: Largest write budget N accepted (``protocol.n_write_max`` and every
+#: ``enhancement.n_write_max_list`` entry); the closed form allocates O(N) per tau block.
+N_WRITE_MAX_CAP = 100_000
 
 
 class DecayModel(Enum):
@@ -119,6 +123,10 @@ class ProtocolParams:
         _check_tau_c(self.tau_c_us)
         for name in ("dt_read_ns", "latency_ns"):
             _check_nonnegative(name, getattr(self, name))
+        overhead = 2.0 * self.latency_ns + self.dt_read_ns
+        if not math.isfinite(N_WRITE_MAX_CAP * self.dt_write_ns + overhead):  # any hold (_holds)
+            name = "dt_write_ns" if math.isfinite(overhead) else "latency_ns"
+            raise ValueError(f"{name} overflows the longest hold, got {getattr(self, name)}")
 
     def gamma_at(self, source: SourceParams, hold_time_ns):
         return memory_retrieval_efficiency(
@@ -175,18 +183,18 @@ def p4c_no_feedback(params: ProtocolParams) -> float:
     return float(params.source_a.herald_prob * ra * params.source_b.herald_prob * rb)
 
 
-def p4c_feedback_by_n(params: ProtocolParams, ns) -> np.ndarray:
-    """Exact four-fold coincidence probability under feedback, one entry
-    per write budget N in ``ns`` (``params.n_write_max`` is not read).
+def p4c_feedback_by_n(params: ProtocolParams, taus, ns) -> np.ndarray:
+    """Exact four-fold coincidence probability under feedback, one row per memory
+    lifetime in ``taus`` and one column per write budget N in ``ns``, not params' own.
 
     Sums over the herald attempts (i, j) of the two nodes: the node that
     heralds first waits (j - i) write slots plus the rendezvous overhead
     (a message round-trip, 2 * latency, and the read delay) while its
     memory decays, the later one waits only the overhead.  Events are
     partitioned by which node heralds first; the simultaneous-herald
-    stratum is counted once.  The gap terms are built once up to max(ns);
-    each N is a sum of the first N of them against geometric partial sums,
-    so an entry does not depend on which other N share ``ns``.
+    stratum is counted once.  The gap terms are built up to max(ns),
+    ``_GRID_BLOCK`` taus at a time; each N sums its first N terms against
+    geometric partial sums, so no entry depends on the other tau or N.
     """
     if min(ns) < 1:
         raise ValueError(f"every n_write_max must be >= 1, got {min(ns)}")
@@ -195,23 +203,28 @@ def p4c_feedback_by_n(params: ProtocolParams, ns) -> np.ndarray:
     qa, qb = 1.0 - pa, 1.0 - pb
 
     d = np.arange(n_max, dtype=float)
-    ra_wait, rb_wait = _wait_success(params, d)
-    ra0, rb0 = float(ra_wait[0]), float(rb_wait[0])  # hold = overhead
-    terms = np.stack([qb**d * ra_wait, qa**d * rb_wait])  # A first, B first
-
+    depletion = np.stack([qb**d, qa**d])  # A first, B first
     # G[m] = sum_{i=0}^{m} (qa*qb)^i; the inner depletion sum for gap d
     # runs over i = 0..N-1-d, so budget N reads g[N-1::-1].
     g = np.cumsum((qa * qb) ** d)
-    sums = np.array([(terms[:, :n] * g[n - 1 :: -1]).sum(axis=1) for n in ns])
-    a_first = pa * pb * rb0 * sums[:, 0]
-    b_first = pa * pb * ra0 * sums[:, 1]
-    diagonal = pa * pb * ra0 * rb0 * g[np.asarray(ns) - 1]
-    return a_first + b_first - diagonal
+    blocks = []
+    for lo in range(0, len(taus), _GRID_BLOCK):
+        block = taus[lo : lo + _GRID_BLOCK]
+        terms = np.empty((2, len(block), n_max))
+        for k, tau in enumerate(block):
+            np.multiply(depletion, _wait_success(replace(params, tau_c_us=tau), d), out=terms[:, k])
+        ra0, rb0 = terms[:, :, :1]  # d = 0: the depletion is 1, the hold the overhead
+        sums = np.stack([(terms[..., :n] * g[n - 1 :: -1]).sum(axis=2) for n in ns], axis=2)
+        a_first = pa * pb * rb0 * sums[0]
+        b_first = pa * pb * ra0 * sums[1]
+        diagonal = pa * pb * ra0 * rb0 * g[np.asarray(ns) - 1]
+        blocks.append(a_first + b_first - diagonal)
+    return np.concatenate(blocks)
 
 
 def p4c_feedback_closed_form(params: ProtocolParams) -> float:
-    """:func:`p4c_feedback_by_n` at ``params.n_write_max``."""
-    return float(p4c_feedback_by_n(params, (params.n_write_max,))[0])
+    """:func:`p4c_feedback_by_n` at ``params.tau_c_us`` and ``params.n_write_max``."""
+    return float(p4c_feedback_by_n(params, (params.tau_c_us,), (params.n_write_max,))[0, 0])
 
 
 def enhancement_factor(params: ProtocolParams) -> float:

@@ -75,43 +75,43 @@ def _record_lines(block: np.ndarray) -> str:
     return ("%d%s" * block.size) % tuple(cells)
 
 
-def _table_lines(rows: list[tuple]) -> str:
-    """CSV lines of a generic table, formatted by column with one ``%``-format.
+def _table_lines(columns: list) -> str:
+    """CSV lines of a generic table given by column, with one ``%``-format.
 
-    A column of ints and bools takes ``%d`` and a column of floats
-    ``%.10g``, both equal to :func:`_fmt`; a column mixing the two keeps
-    per-cell ``_fmt``.
+    Int and bool columns take ``%d``, float columns ``%.10g`` (both equal to
+    :func:`_fmt`) and mixed ones per-cell ``_fmt``; a column holding one object
+    in every cell (the HOM plateau) is formatted once, into the line template.
     """
-    width = len(rows[0]) if rows else 0
-    cells = [v for row in rows for v in row]
-    specs = []
-    for k in range(width):
-        column = cells[k::width]
+    size = len(columns[0]) if columns else 0
+    specs, varying = [], []
+    for column in columns:
+        if size and all(v is column[0] for v in column):
+            specs.append(_fmt(column[0]))
+            continue
         ints = {issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, column))}
         specs.append("%d" if ints == {True} else "%.10g" if ints == {False} else "%s")
-        if specs[-1] == "%s":
-            cells[k::width] = [_fmt(v) for v in column]
-    return ((",".join(specs) + "\n") * len(rows)) % tuple(cells)
+        varying.append([_fmt(v) for v in column] if specs[-1] == "%s" else column)
+    cells: list = [None] * (size * len(varying))
+    for k, column in enumerate(varying):
+        cells[k :: len(varying)] = column
+    return ((",".join(specs) + "\n") * size) % tuple(cells)
 
 
 def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], tuple]:
     params = config.protocol
     taus = config.enhancement.tau_c_us_list or (params.tau_c_us,)
     ns = config.enhancement.n_write_max_list or (params.n_write_max,)
-    rows = []
-    for tau in taus:
-        point = replace(params, tau_c_us=tau)
-        baseline = p4c_no_feedback(point)
-        if baseline == 0.0:
-            raise ValueError("no-feedback coincidence probability is zero")
-        column = (p4c_feedback_by_n(point, ns) / baseline).tolist()
-        rows += [(tau, n, e) for n, e in zip(ns, column)]
+    baselines = np.array([p4c_no_feedback(replace(params, tau_c_us=tau)) for tau in taus])
+    if not baselines.all():
+        raise ValueError("no-feedback coincidence probability is zero")
+    grid = p4c_feedback_by_n(params, taus, ns) / baselines[:, None]
+    columns = [np.repeat(taus, len(ns)).tolist(), list(ns) * len(taus), grid.ravel().tolist()]
     metrics = {
         "enhancement": enhancement_factor(params),
         "p4c_feedback": p4c_feedback_closed_form(params),
         "p4c_no_feedback": p4c_no_feedback(params),
     }
-    return metrics, (("tau_c_us", "n_write_max", "enhancement"), rows)
+    return metrics, (("tau_c_us", "n_write_max", "enhancement"), columns)
 
 
 def _run_hom_scan(config: RunConfig) -> tuple[dict[str, Any], tuple]:
@@ -125,14 +125,14 @@ def _run_hom_scan(config: RunConfig) -> tuple[dict[str, Any], tuple]:
         hom.alpha1, hom.alpha2, hom.p_i1, hom.p_i2, hom.coherence_fwhm_ns, hom.domain, grid
     )
     dip = hom_coincidence(hom.alpha1, hom.alpha2, hom.p_i1, hom.p_i2, overlap=1.0)
-    rows = list(zip(grid.tolist(), coincidence.tolist(), [dip.c_plat] * grid.size))
+    columns = [grid.tolist(), coincidence.tolist(), [dip.c_plat] * grid.size]
     metrics = {
         "visibility": dip.visibility,
         "c_plat": dip.c_plat,
         "c_dip": dip.c_dip,
         fwhm_name: dip_fwhm,
     }
-    return metrics, ((abscissa_name, "coincidence", "plateau"), rows)
+    return metrics, ((abscissa_name, "coincidence", "plateau"), columns)
 
 
 def _run_chsh(config: RunConfig) -> tuple[dict[str, Any], tuple]:
@@ -147,8 +147,7 @@ def _run_chsh(config: RunConfig) -> tuple[dict[str, Any], tuple]:
             "w_hh": state.w_hh,
             "w_vv": state.w_vv,
         }
-        rows = [(t1, t2, e) for (t1, t2), e in zip(pairs, es)]
-        return metrics, (("theta1_deg", "theta2_deg", "e"), rows)
+        return metrics, (("theta1_deg", "theta2_deg", "e"), [*zip(*pairs), es])
     counts, es, sigma_e = sample_chsh_experiment(state, chsh.settings, chsh.n_events, config.seed)
     s, sigma_s, n_sigma = chsh_from_correlations(*es, sigmas=sigma_e)
     metrics = {
@@ -157,9 +156,8 @@ def _run_chsh(config: RunConfig) -> tuple[dict[str, Any], tuple]:
         "n_sigma": n_sigma,
         "n_events_per_setting": chsh.n_events,
     }
-    rows = [(*pair, *count, e, sigma) for pair, count, e, sigma in zip(pairs, counts, es, sigma_e)]
-    columns = ("theta1_deg", "theta2_deg", "n_pp", "n_pm", "n_mp", "n_mm", "e", "sigma_e")
-    return metrics, (columns, rows)
+    names = ("theta1_deg", "theta2_deg", "n_pp", "n_pm", "n_mp", "n_mm", "e", "sigma_e")
+    return metrics, (names, [*zip(*pairs), *zip(*counts), es, sigma_e])
 
 
 def _run_protocol_sim(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
@@ -179,7 +177,7 @@ def _run_protocol_sim(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
 def run_scenario(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
     """Run the configured scenario: its summary.json document and its table.
 
-    The table is None or ``(columns, rows)``, the rows a list of tuples or
+    The table is None or ``(names, data)``, the data a list of columns or
     any other iterable of trial record blocks (``TRIAL_RECORD_DTYPE``, hold
     times following from the heralds as in :class:`CampaignRecords`).  A
     non-finite metric raises, except an infinite ``n_sigma`` (an exact S
@@ -223,10 +221,10 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     (out_dir / SUMMARY_FILE).write_bytes(text.encode("utf-8"))
     if table is None:
         return
-    columns, rows = table
+    names, data = table
     with (out_dir / TABLE_FILE).open("w", encoding="utf-8", newline="\n") as out:
-        out.write(",".join(columns) + "\n")
-        if isinstance(rows, list):
-            out.write(_table_lines(rows))
+        out.write(",".join(names) + "\n")
+        if isinstance(data, list):
+            out.write(_table_lines(data))
         else:
-            out.writelines(map(_record_lines, rows))
+            out.writelines(map(_record_lines, data))

@@ -1,6 +1,7 @@
 """Tests for the synchronization protocol: closed forms and simulator."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -10,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from heraldsync.config import N_WRITE_MAX_CAP
 from heraldsync.photon_stats import FockDistribution, SourceParams
 from heraldsync.protocol import (
     _CHUNK_SIZE,
+    _GRID_BLOCK,
     _four_fold_table,
     _heralds,
     _holds,
@@ -318,40 +321,75 @@ column_sources = st.one_of(
 @given(
     source_a=column_sources,
     source_b=column_sources,
-    tau_c_us=st.floats(min_value=0.5, max_value=300.0),
+    taus=st.lists(st.floats(min_value=0.5, max_value=300.0), min_size=1, max_size=4),
     latency_ns=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3000.0)),
     decay_model=st.sampled_from(list(DecayModel)),
     ns=st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=6),
+    extra_tau=st.floats(min_value=0.5, max_value=300.0),
     extra=st.integers(min_value=1, max_value=3000),
 )
 @settings(derandomize=True, max_examples=60, deadline=None)
 def test_column_entries_bit_identical(
-    source_a, source_b, tau_c_us, latency_ns, decay_model, ns, extra
+    source_a, source_b, taus, latency_ns, decay_model, ns, extra_tau, extra
 ):
-    # each entry is the same float whichever other N share the list, and
-    # equals the scalar closed form at that N
+    # each grid entry is the same float whichever other tau and N share the
+    # grid, and in whatever order, and equals the scalar closed form there
     params = ProtocolParams(
         source_a=source_a,
         source_b=source_b,
-        tau_c_us=tau_c_us,
         latency_ns=latency_ns,
         decay_model=decay_model,
     )
-    column = p4c_feedback_by_n(params, ns).tolist()
-    widened = p4c_feedback_by_n(params, [extra, *reversed(ns)]).tolist()
-    assert widened[1:] == column[::-1]
-    for n, value in zip(ns, column):
-        assert value == p4c_feedback_by_n(params, [n])[0]
-        assert value == p4c_feedback_closed_form(replace(params, n_write_max=n))
+    grid = p4c_feedback_by_n(params, taus, ns)
+    assert grid.shape == (len(taus), len(ns))
+    widened = p4c_feedback_by_n(params, [extra_tau, *reversed(taus)], [extra, *reversed(ns)])
+    assert widened[1:, 1:].tolist() == grid[::-1, ::-1].tolist()
+    for tau, row in zip(taus, grid.tolist()):
+        for n, value in zip(ns, row):
+            assert value == p4c_feedback_closed_form(replace(params, tau_c_us=tau, n_write_max=n))
     small = min(ns)
     if small <= 20:
-        point = replace(params, n_write_max=small)
-        assert column[ns.index(small)] == pytest.approx(p4c_brute_force(point), rel=1e-12)
+        point = replace(params, tau_c_us=taus[0], n_write_max=small)
+        assert grid[0, ns.index(small)] == pytest.approx(p4c_brute_force(point), rel=1e-12)
+
+
+@pytest.mark.parametrize("count", [1, _GRID_BLOCK - 1, _GRID_BLOCK, _GRID_BLOCK + 1])
+@pytest.mark.parametrize("model", list(DecayModel))
+def test_grid_rows_bit_identical_across_block_boundaries(count, model):
+    # a row does not depend on the block it falls in, nor on its place there
+    source = SourceParams(gamma0=0.3, p_as=0.02, eta_as=0.6)
+    params = ProtocolParams(source_a=source, source_b=source, latency_ns=700.0, decay_model=model)
+    taus = np.geomspace(0.7, 90.0, count).tolist()
+    ns = (2000, 1, 17, 300)
+    grid = p4c_feedback_by_n(params, taus, ns).tolist()
+    assert grid == [p4c_feedback_by_n(params, [tau], ns)[0].tolist() for tau in taus]
+    assert p4c_feedback_by_n(params, taus[::-1], ns).tolist() == grid[::-1]
+    for tau, row in zip(taus, grid):
+        for n, value in zip(ns, row):
+            assert value == p4c_feedback_closed_form(replace(params, tau_c_us=tau, n_write_max=n))
+
+
+def test_grid_memory_is_bounded_by_the_block():
+    # 200 tau rows at the largest budget: the grid builds _GRID_BLOCK of them
+    # at a time (gap terms, then their products), never all 200 at once
+    params = default_params()
+    taus = np.linspace(1.0, 200.0, 200).tolist()
+    n = N_WRITE_MAX_CAP
+    block_bytes = 2 * _GRID_BLOCK * n * 8
+    tracemalloc.start()
+    try:
+        grid = p4c_feedback_by_n(params, taus, (n,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (200, 1)
+    assert peak < 2 * block_bytes + 16 * n * 8 < len(taus) * 2 * n * 8
+    assert grid[-1, 0] == p4c_feedback_closed_form(replace(params, tau_c_us=200.0, n_write_max=n))
 
 
 def test_column_rejects_empty_budget():
     with pytest.raises(ValueError, match="n_write_max"):
-        p4c_feedback_by_n(default_params(), [12, 0])
+        p4c_feedback_by_n(default_params(), [12.0], [12, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +444,7 @@ def test_dead_source_never_coincides_in_any_layer(dead, dead_source, latency_ns,
     with pytest.raises(ValueError, match="herald probability is zero"):
         dead_source.heralded_shape()
     assert p4c_no_feedback(params) == 0.0
-    assert p4c_feedback_by_n(params, (1, 3, 5)).tolist() == [0.0, 0.0, 0.0]
+    assert p4c_feedback_by_n(params, (12.0, 3.0), (1, 3, 5)).tolist() == [[0.0] * 3] * 2
     n_trials = _CHUNK_SIZE + 100
     assert simulate_campaign(params, n_trials, seed=2).four_fold_count == 0
     blocks = list(CampaignRecords(params, n_trials, seed=2))

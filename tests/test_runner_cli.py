@@ -34,51 +34,54 @@ def test_public_names_resolve():
 
 
 def test_enhancement_scenario():
-    doc, (columns, rows) = run_text("scenario = enhancement\n")
+    doc, (names, columns) = run_text("scenario = enhancement\n")
     assert 129.0 <= doc["metrics"]["enhancement"] <= 143.0
     assert doc["metrics"]["p4c_no_feedback"] == pytest.approx(2.557e-8, rel=1e-3)
-    assert columns == ("tau_c_us", "n_write_max", "enhancement")
-    assert len(rows) == 1
+    assert names == ("tau_c_us", "n_write_max", "enhancement")
+    assert [len(column) for column in columns] == [1, 1, 1]
 
 
 def test_enhancement_sweep_rows():
-    _, (_, rows) = run_text(
+    _, (_, columns) = run_text(
         "scenario = enhancement\n"
         "enhancement.tau_c_us_list = 6, 12\n"
         "enhancement.n_write_max_list = 4, 8, 12\n"
     )
-    assert len(rows) == 6
-    # enhancement grows along both sweep axes
-    by_key = {(tau, n): e for tau, n, e in rows}
+    assert [len(column) for column in columns] == [6, 6, 6]
+    # rows run over N within each tau; enhancement grows along both sweep axes
+    assert columns[0] == [6.0] * 3 + [12.0] * 3 and columns[1] == [4, 8, 12] * 2
+    by_key = {(tau, n): e for tau, n, e in zip(*columns)}
     assert by_key[(12.0, 12)] > by_key[(6.0, 12)] > by_key[(6.0, 4)]
 
 
 def test_hom_scan_time_domain():
-    doc, (columns, rows) = run_text("scenario = hom_scan\n")
-    assert columns == ("delay_ns", "coincidence", "plateau")
+    doc, (names, columns) = run_text("scenario = hom_scan\n")
+    assert names == ("delay_ns", "coincidence", "plateau")
     assert doc["metrics"]["fwhm_ns"] == 25.0
     assert doc["metrics"]["visibility"] == pytest.approx(1.0 / 1.145, abs=1e-12)
-    assert len(rows) == 61
+    assert [len(column) for column in columns] == [61, 61, 61]
+    assert set(columns[2]) == {doc["metrics"]["c_plat"]}
 
 
 def test_hom_scan_frequency_domain():
-    doc, (columns, rows) = run_text("scenario = hom_scan\nhom.domain = frequency\n")
-    assert columns == ("detuning_mhz", "coincidence", "plateau")
+    doc, (names, columns) = run_text("scenario = hom_scan\nhom.domain = frequency\n")
+    assert names == ("detuning_mhz", "coincidence", "plateau")
     assert doc["metrics"]["fwhm_mhz"] == pytest.approx(35.3017, abs=1e-3)
-    assert rows[0][0] == -30.0 and rows[-1][0] == 30.0
+    assert columns[0][0] == -30.0 and columns[0][-1] == 30.0
 
 
 def test_chsh_analytic_scenario():
-    doc, (columns, _) = run_text("scenario = chsh\n")
+    doc, (names, columns) = run_text("scenario = chsh\n")
     assert doc["metrics"]["s"] == pytest.approx(2.2911, abs=5e-4)
-    assert columns == ("theta1_deg", "theta2_deg", "e")
+    assert names == ("theta1_deg", "theta2_deg", "e")
+    assert [len(column) for column in columns] == [4, 4, 4]
 
 
 def test_chsh_sampled_scenario():
-    doc, (columns, rows) = run_text(
+    doc, (names, columns) = run_text(
         "scenario = chsh\nchsh.mode = sampled\nchsh.n_events = 20000\nseed = 4\n"
     )
-    assert columns == (
+    assert names == (
         "theta1_deg",
         "theta2_deg",
         "n_pp",
@@ -88,8 +91,8 @@ def test_chsh_sampled_scenario():
         "e",
         "sigma_e",
     )
-    assert len(rows) == 4
-    for row in rows:
+    assert [len(column) for column in columns] == [4] * 8
+    for row in zip(*columns):
         assert row[2] + row[3] + row[4] + row[5] == 20000
     metrics = doc["metrics"]
     assert metrics["sigma_s"] > 0.0
@@ -131,6 +134,16 @@ RECORD_SOURCES_DENSE = (
 
 
 RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
+
+# Sources given by eta_as, for the sweep grid: 37 tau values span three
+# 16-row blocks of the closed-form grid, and N runs up to 2000.
+GRID_SOURCES = (
+    "protocol.source_a.eta_as = 0.5\nprotocol.source_a.p_as = 0.01\n"
+    "protocol.source_b.eta_as = 0.65\nprotocol.source_b.p_as = 0.004\n"
+    "protocol.source_b.gamma0 = 0.2\n"
+)
+GRID_TAUS = ", ".join(str(round(0.5 + 1.37 * k, 2)) for k in range(37))
+GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2000"
 
 
 # Golden corpus over every scenario: SHA-256 of table.csv (None where the
@@ -180,6 +193,26 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
             id="enhancement-sweep-chi-latency",
         ),
         pytest.param(
+            "scenario = enhancement\n"
+            f"enhancement.tau_c_us_list = {GRID_TAUS}\n"
+            f"enhancement.n_write_max_list = {GRID_NS}\n"
+            "protocol.latency_ns = 450.0\n" + GRID_SOURCES,
+            "50d128cc3ca27829fea04b181d8ac36e19892e488d159a818572e8025726d2d4",
+            "cf5350a5865368c0120b9d0e05b736510833d6b927c9ab6d749547b09827a1dc",
+            id="enhancement-grid-gaussian",
+        ),
+        pytest.param(
+            "scenario = enhancement\n"
+            "enhancement.tau_c_us_list = "
+            "30, 0.7, 3, 9.5, 1, 2, 4, 6, 8, 11, 14, 17, 21, 25, 40, 60, 99\n"
+            "enhancement.n_write_max_list = 2000, 1, 7, 7, 300, 1999, 64\n"
+            "protocol.decay_model = exponential\nprotocol.latency_ns = 1200.0\n"
+            "protocol.dt_read_ns = 250.0\n" + GRID_SOURCES,
+            "f8295e3c2719b9533f28631b85058d560269f18c2ba1d32f075a66ebdd85b55b",
+            "6dfbc53d973c6c0f7206eee0b92bf1791d188e68267da2ebfa4981441f0c9766",
+            id="enhancement-grid-exponential",
+        ),
+        pytest.param(
             "scenario = hom_scan\n",
             "3ad0f967bfb72bb7d7122f7337c0bac5adc1cc28ddc776a2824ecb7e61f90833",
             "e947da73dc068a22957309d818a5afb1a1bf157b9db1e124d8fc3a08eb5b6577",
@@ -193,6 +226,20 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
             id="hom-frequency",
         ),
         pytest.param(
+            "scenario = hom_scan\nhom.points = 2001\nhom.half_range_ns = 80\n"
+            "hom.coherence_fwhm_ns = 12.5\nhom.alpha1 = 0.09\nhom.alpha2 = 0.21\nhom.p_i1 = 0.9\n",
+            "c06dd2da928a094e645fad6de61ce467b71439d1e6578d0556c702375e187935",
+            "9027dbfb7edf171c9f958a8a87c0bc2c81371d656f7208a83f8d01a632ced127",
+            id="hom-time-wide",
+        ),
+        pytest.param(
+            "scenario = hom_scan\nhom.domain = frequency\nhom.points = 1001\n"
+            "hom.half_range_mhz = 45\n",
+            "8e0ae08062f4c14b6d2eb0cff9da47d614d913c0927da594d45d49dd331eab60",
+            "d5485ac713c9bc9d56d81ddd4ffed77e9bfc2635fa08f95b4cb3dcfb3d925c56",
+            id="hom-frequency-wide",
+        ),
+        pytest.param(
             "scenario = chsh\n",
             "d8f5e83c10c9f7ef7828b23291cb212ce1102f4962721c889122e907ad51725e",
             "29203dcaf563f865b0967cae02a763390bdcc00e5e3fa525f0edfc2391f10ad1",
@@ -204,6 +251,21 @@ RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
             "e0c58819b7c685a5100341e33c41066eb7a704b400e8a19e8f0bae390a845343",
             "68f54d96f52c9886b9e38b722224d46fe69c498c772c7043ca85c9a15ffb89de",
             id="chsh-sampled",
+        ),
+        pytest.param(
+            "scenario = chsh\nchsh.alpha1 = 0.05\nchsh.alpha2 = 0.3\n"
+            "chsh.theta1_deg = 10\nchsh.theta1_prime_deg = 55\nchsh.theta2_deg = 32.5\n"
+            "chsh.theta2_prime_deg = 77.5\n",
+            "725422870d9bb51647482fbc487f328224ba73bcf66d92fa22684fd80c22ee06",
+            "a330b3470396d223771befc84ed8e1513f69fc0d8aea2e7edb687c150d13b129",
+            id="chsh-analytic-angles",
+        ),
+        pytest.param(
+            "scenario = chsh\nchsh.mode = sampled\nchsh.n_events = 100000\nseed = 12\n"
+            "chsh.p_i1 = 0.8\n",
+            "e030816979f855d959df89accd4203ada4abd67d45d51ba9d48754e3e08e78b8",
+            "b17d12090f6e688cff239a5196ce000d56aaaf039c7dff965af1270171690967",
+            id="chsh-sampled-seed",
         ),
         pytest.param(
             "scenario = chsh\nchsh.mode = sampled\nchsh.p_i2 = 0\nchsh.n_events = 1000\n"
@@ -266,6 +328,17 @@ def test_record_table_emits_identically_twice(tmp_path):
     assert (tmp_path / "second" / "table.csv").read_bytes() == first
 
 
+def per_cell_table(names, columns) -> str:
+    lines = [",".join(names)] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def emitted_table(tmp_path, names, columns) -> str:
+    doc, _ = run_text("scenario = enhancement\n")
+    emit_outputs(doc, (names, columns), tmp_path)
+    return (tmp_path / "table.csv").read_bytes().decode()
+
+
 def test_generic_table_matches_per_cell_formatting(tmp_path):
     # columns of python and numpy ints, bools and floats, and one column
     # mixing ints and floats, which keeps per-cell formatting
@@ -276,22 +349,46 @@ def test_generic_table_matches_per_cell_formatting(tmp_path):
     floats = specials + (rng.standard_normal(2000) * scales).tolist()
     ints = [0, -5, 7, 10**10, -(2**62), 2**63 - 1] + rng.integers(-(10**12), 10**12, 2008).tolist()
     n = len(floats)
-    rows = [
-        (
-            ints[k],
-            np.int64(ints[k]),
-            k % 3 == 0,
-            np.bool_(k % 2),
-            floats[k],
-            np.float64(floats[-1 - k]),
-            ints[k] if k % 2 else floats[k],
-        )
-        for k in range(n)
+    columns = [
+        ints,
+        [np.int64(v) for v in ints],
+        [k % 3 == 0 for k in range(n)],
+        [np.bool_(k % 2) for k in range(n)],
+        floats,
+        [np.float64(v) for v in reversed(floats)],
+        [ints[k] if k % 2 else floats[k] for k in range(n)],
     ]
-    doc, _ = run_text("scenario = enhancement\n")
-    emit_outputs(doc, (tuple("abcdefg"), rows), tmp_path)
-    expected = ["a,b,c,d,e,f,g"] + [",".join(_fmt(v) for v in row) for row in rows]
-    assert (tmp_path / "table.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+    names = tuple("abcdefg")
+    assert emitted_table(tmp_path, names, columns) == per_cell_table(names, columns)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        pytest.param([0.1 + 0.2] * 5, id="float"),
+        pytest.param([np.float64(-0.0)] * 5, id="numpy-negative-zero"),
+        pytest.param([math.nan] * 5, id="nan"),
+        pytest.param([10**12] * 5, id="int"),
+        pytest.param([np.int64(-(2**62))] * 5, id="numpy-int"),
+        pytest.param([True] * 5, id="bool"),
+        pytest.param([np.bool_(False)] * 5, id="numpy-bool"),
+        # equal cells that are different objects and format differently
+        pytest.param([0.0, -0.0, 0.0, -0.0, 0.0], id="signed-zeros"),
+        pytest.param([10**12, 1e12, np.float64(1e12), np.int64(10**12), 10**12], id="ints-floats"),
+        pytest.param([1, True, 1.0, np.bool_(True), np.int64(1)], id="ones"),
+    ],
+)
+def test_generic_table_constant_column_matches_per_cell_formatting(tmp_path, column):
+    columns = [[0.25 * k for k in range(5)], column, list(range(5))]
+    names = ("x", "constant", "k")
+    assert emitted_table(tmp_path, names, columns) == per_cell_table(names, columns)
+
+
+def test_generic_table_of_one_row_matches_per_cell_formatting(tmp_path):
+    # every column of a one-row table is constant
+    columns = [[-0.0], [np.float64(1e300)], [2**63 - 1], [np.int64(-3)], [False], [math.inf]]
+    names = tuple("abcdef")
+    assert emitted_table(tmp_path, names, columns) == per_cell_table(names, columns)
 
 
 def test_domain_error_carries_scenario_context():
@@ -325,7 +422,8 @@ def test_emitted_numbers_round_trip(tmp_path):
     doc, table = run_text("scenario = hom_scan\nhom.points = 11\n")
     emit_outputs(doc, table, tmp_path)
     lines = (tmp_path / "table.csv").read_text().splitlines()[1:]
-    for line, row in zip(lines, table[1]):
+    assert len(lines) == 11
+    for line, row in zip(lines, zip(*table[1])):
         for printed, value in zip(line.split(","), row):
             assert float(printed) == pytest.approx(float(value), rel=1e-9)
 
@@ -565,6 +663,11 @@ def test_cli_rejects_widths_whose_square_underflows(tmp_path, capsys, scenario, 
         # the decay and overlap exponents overflow to -inf: exp gives its exact limit 0
         ("protocol_sim", "protocol.dt_read_ns = 1e300\ntrials = 1000"),
         ("hom_scan", "hom.coherence_fwhm_ns = 1e300\nhom.domain = frequency"),
+        # the longest hold and the scan's span stay just below the float limit
+        ("protocol_sim", "protocol.latency_ns = 8e307\ntrials = 1000"),
+        ("enhancement", "protocol.dt_write_ns = 1.7e303\nenhancement.n_write_max_list = 100000"),
+        ("hom_scan", "hom.half_range_ns = 8e307"),
+        ("hom_scan", "hom.half_range_mhz = 8e307\nhom.domain = frequency"),
     ],
 )
 def test_cli_huge_values_reach_their_limits_silently(tmp_path, scenario, lines):
@@ -572,6 +675,29 @@ def test_cli_huge_values_reach_their_limits_silently(tmp_path, scenario, lines):
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     metrics = json.loads((tmp_path / "out" / "summary.json").read_text())["metrics"]
     assert all(math.isfinite(value) for value in metrics.values())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "scenario,lines",
+    [
+        # 2*latency_ns + dt_read_ns, or N_WRITE_MAX_CAP * dt_write_ns on top, overflows
+        ("protocol_sim", "protocol.latency_ns = 1e308"),
+        ("enhancement", "protocol.latency_ns = 1e308"),
+        ("protocol_sim", "protocol.latency_ns = 1e307\nprotocol.dt_read_ns = 1.7e308"),
+        ("enhancement", "protocol.dt_write_ns = 1e308"),
+        ("protocol_sim", "protocol.dt_write_ns = 1.8e303"),
+        # the scan grid spans twice the half range
+        ("hom_scan", "hom.half_range_ns = 1e308"),
+        ("hom_scan", "hom.half_range_mhz = 1e308\nhom.domain = frequency"),
+    ],
+)
+def test_cli_rejects_values_whose_span_overflows(tmp_path, capsys, scenario, lines):
+    cfg = write_config(tmp_path, f"scenario = {scenario}\n{lines}\n")
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    key = lines.split(" = ", 1)[0]
+    assert f"(key: {key} line: 2)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
