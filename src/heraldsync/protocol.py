@@ -50,7 +50,7 @@ __all__ = [
 
 _CHUNK_SIZE = 1 << 16  # trials per random substream; fixed so results never
                        # depend on how a campaign is split across workers
-_GRID_BLOCK = 16  # tau rows per block of the sweep grid, which bounds its memory
+_GRID_CELLS = 1 << 15  # tau x gap cells per block of the sweep grid, which bounds its memory
 #: Largest write budget N accepted (``protocol.n_write_max`` and every
 #: ``enhancement.n_write_max_list`` entry); the closed form allocates O(N) per tau block.
 N_WRITE_MAX_CAP = 100_000
@@ -76,14 +76,16 @@ def memory_retrieval_efficiency(
     gamma0: float,
     hold_time_ns: float | np.ndarray,
     model: DecayModel = DecayModel.GAUSSIAN_HALF,
-    tau_c_us: float = 12.0,
+    tau_c_us: float | np.ndarray = 12.0,
 ):
     """Retrieval efficiency after holding the excitation for ``hold_time_ns``.
 
     GAUSSIAN_HALF: gamma0*exp(-t**2/(2*tau_c**2)); EXPONENTIAL:
-    gamma0*exp(-t/tau_c).  Accepts scalar or array hold times.
+    gamma0*exp(-t/tau_c).  Accepts scalar or array hold times, and an array
+    of lifetimes broadcast against them, which the caller has checked.
     """
-    _check_tau_c(tau_c_us)
+    if np.ndim(tau_c_us) == 0:
+        _check_tau_c(tau_c_us)
     if not math.isfinite(gamma0):
         raise ValueError(f"gamma0 must be finite, got {gamma0}")
     t_us = np.asarray(hold_time_ns, dtype=float) * 1e-3
@@ -99,7 +101,7 @@ def memory_retrieval_efficiency(
         else:
             raise ValueError(f"unknown decay model {model!r}")
     out = gamma0 * np.exp(exponent)
-    return float(out) if t_us.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -151,24 +153,28 @@ def _holds(params: ProtocolParams, attempt_a, attempt_b) -> tuple:
     return tuple((later - i) * params.dt_write_ns + overhead for i in (attempt_a, attempt_b))
 
 
-def _wait_success(params: ProtocolParams, d) -> tuple:
+def _wait_success(params: ProtocolParams, d, taus=None) -> tuple:
     """Each node's read success when it heralded ``d`` slots before its peer.
 
     The earlier node holds for the gap plus the rendezvous overhead; at
-    ``d = 0`` this is the later node's read success.  This is the one place
+    ``d = 0`` this is the later node's read success.  Given ``taus``, one
+    row per memory lifetime there, not params' own.  This is the one place
     a source that never heralds is handled: both successes are then zero.
     """
     sources = (params.source_a, params.source_b)
     t_wait = _holds(params, 0, d)[0]
+    tau = params.tau_c_us if taus is None else np.array([_check_tau_c(t) for t in taus])[:, None]
     if min(source.herald_prob for source in sources) == 0.0:
-        return np.zeros_like(t_wait), np.zeros_like(t_wait)
+        zero = np.zeros(np.broadcast(t_wait, tau).shape)
+        return zero, zero
+    # one decay for both sources: gamma0 * (1.0 * exp) is memory_retrieval_efficiency(gamma0, ...)
+    decay = memory_retrieval_efficiency(1.0, t_wait, params.decay_model, tau)
     return tuple(
-        _read_success(source.heralded_shape(), params.gamma_at(source, t_wait))
-        for source in sources
+        _read_success(source.heralded_shape(), source.gamma0 * decay) for source in sources
     )
 
 
-def p4c_no_feedback(params: ProtocolParams) -> float:
+def p4c_no_feedback(params: ProtocolParams, taus=None):
     """Four-fold coincidence probability of a single write/read per trial.
 
     The product p_a * gamma_a(dt_read) * p_b * gamma_b(dt_read), with the
@@ -177,10 +183,12 @@ def p4c_no_feedback(params: ProtocolParams) -> float:
     memory).  The single-shot baseline reads both nodes on a fixed
     schedule with no ready-message exchange, so it pays no rendezvous
     latency: its read success is the zero-gap one at zero latency, where
-    the hold is exactly ``dt_read_ns``.
+    the hold is exactly ``dt_read_ns``.  Given ``taus``, an array of one
+    probability per memory lifetime there, not params' own.
     """
-    ra, rb = _wait_success(replace(params, latency_ns=0.0), 0)
-    return float(params.source_a.herald_prob * ra * params.source_b.herald_prob * rb)
+    ra, rb = _wait_success(replace(params, latency_ns=0.0), 0, taus)
+    p4c = params.source_a.herald_prob * ra * params.source_b.herald_prob * rb
+    return float(p4c) if taus is None else p4c.ravel()
 
 
 def p4c_feedback_by_n(params: ProtocolParams, taus, ns) -> np.ndarray:
@@ -192,9 +200,10 @@ def p4c_feedback_by_n(params: ProtocolParams, taus, ns) -> np.ndarray:
     (a message round-trip, 2 * latency, and the read delay) while its
     memory decays, the later one waits only the overhead.  Events are
     partitioned by which node heralds first; the simultaneous-herald
-    stratum is counted once.  The gap terms are built up to max(ns),
-    ``_GRID_BLOCK`` taus at a time; each N sums its first N terms against
-    geometric partial sums, so no entry depends on the other tau or N.
+    stratum is counted once.  The gap terms are built up to max(ns), in
+    blocks of about ``_GRID_CELLS`` (tau, gap) cells and at least one tau;
+    each N sums its first N terms against geometric partial sums, so no
+    entry depends on the other tau or N.
     """
     if min(ns) < 1:
         raise ValueError(f"every n_write_max must be >= 1, got {min(ns)}")
@@ -207,12 +216,11 @@ def p4c_feedback_by_n(params: ProtocolParams, taus, ns) -> np.ndarray:
     # G[m] = sum_{i=0}^{m} (qa*qb)^i; the inner depletion sum for gap d
     # runs over i = 0..N-1-d, so budget N reads g[N-1::-1].
     g = np.cumsum((qa * qb) ** d)
+    rows = max(1, _GRID_CELLS // n_max)
     blocks = []
-    for lo in range(0, len(taus), _GRID_BLOCK):
-        block = taus[lo : lo + _GRID_BLOCK]
-        terms = np.empty((2, len(block), n_max))
-        for k, tau in enumerate(block):
-            np.multiply(depletion, _wait_success(replace(params, tau_c_us=tau), d), out=terms[:, k])
+    for lo in range(0, len(taus), rows):
+        terms = np.stack(_wait_success(params, d, taus[lo : lo + rows]))
+        terms *= depletion[:, None]
         ra0, rb0 = terms[:, :, :1]  # d = 0: the depletion is 1, the hold the overhead
         sums = np.stack([(terms[..., :n] * g[n - 1 :: -1]).sum(axis=2) for n in ns], axis=2)
         a_first = pa * pb * rb0 * sums[0]
@@ -394,7 +402,9 @@ class CampaignRecords:
         p_b, n_max = params.source_b.herald_prob, params.n_write_max
         chunks = _campaign_chunks(params, self.n_trials, self.seed)
         for lo, m, rng, (pos_a, att_a), joint, attempts, four_fold in chunks:
-            block = np.full(m, np.array((0, -1, -1, np.nan, np.nan, False), TRIAL_RECORD_DTYPE))
+            block = np.zeros(m, TRIAL_RECORD_DTYPE)
+            block["herald_a"] = block["herald_b"] = -1
+            block["hold_a_ns"] = block["hold_b_ns"] = np.nan
             block["trial"] = np.arange(lo, lo + m)
             block["herald_a"][pos_a] = att_a
             empty = np.flatnonzero(block["herald_a"] < 0)  # B there: the chunk's last draws

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -29,7 +28,7 @@ from .interference import (
 from .protocol import (
     TRIAL_RECORD_DTYPE,
     CampaignRecords,
-    enhancement_factor,
+    enhancement_factor,  # unused; the layer trace wraps it in this namespace
     p4c_feedback_by_n,
     p4c_feedback_closed_form,
     p4c_no_feedback,
@@ -41,6 +40,7 @@ __all__ = ["run_scenario", "emit_outputs"]
 
 SUMMARY_FILE = "summary.json"
 TABLE_FILE = "table.csv"
+_COUNT_SPAN = 4
 
 
 def _fmt(value: Any) -> str:
@@ -51,28 +51,49 @@ def _fmt(value: Any) -> str:
     return format(float(value), ".10g")
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``values`` and each one's index among them.
+
+    As ``np.unique(values, return_inverse=True)``, which it calls unless the
+    values span at most ``_COUNT_SPAN`` times their number: then a table of
+    present flags over the span, and its running count, replace the sort.
+    """
+    values = np.ascontiguousarray(values)  # a record field is strided
+    if values.size:
+        lo = int(values.min())
+        span = int(values.max()) - lo + 1
+        if span <= _COUNT_SPAN * values.size:
+            offset = values - lo
+            present = np.zeros(span, dtype=bool)
+            present[offset] = True
+            return np.flatnonzero(present) + lo, (np.cumsum(present) - 1)[offset]
+    return np.unique(values, return_inverse=True)
+
+
 def _record_lines(block: np.ndarray) -> str:
     """CSV lines of a block of trial records.
 
     Everything after the trial index is a function of (herald_a, herald_b,
     four_fold), since the hold times follow from the two heralds.  Each
-    distinct suffix is formatted once and indexed per row.
+    distinct suffix is formatted once, from any row with its key, and
+    indexed per row.
     """
+    if not block.size:
+        return ""
     # Ranking each herald column first keeps the joint key below
-    # 2 * len(block)**2, whatever n_write_max is.
-    _, rank_a = np.unique(block["herald_a"], return_inverse=True)
-    values_b, rank_b = np.unique(block["herald_b"], return_inverse=True)
+    # 2 * len(block)**2, whatever values the heralds take.
+    _, rank_a = _distinct(block["herald_a"])
+    values_b, rank_b = _distinct(block["herald_b"])
     key = (rank_a * values_b.size + rank_b) * 2 + block["four_fold"]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    names = block.dtype.names[1:]
+    keys, inverse = _distinct(key)
+    row = np.empty(keys.size, dtype=np.intp)
+    row[inverse] = np.arange(block.size)
     suffixes = np.array(
-        ["".join("," + _fmt(block[name][i]) for name in names) + "\n" for i in first.tolist()],
+        ["".join("," + _fmt(v) for v in record[1:]) + "\n" for record in block[row].tolist()],
         dtype=object,
     )
-    cells: list = [None] * (2 * block.size)
-    cells[0::2] = block["trial"].tolist()
-    cells[1::2] = suffixes[inverse].tolist()
-    return ("%d%s" * block.size) % tuple(cells)
+    # _fmt writes ints, floats and bools, so no suffix holds a "%"
+    return ("%d" + "%d".join(suffixes[inverse].tolist())) % tuple(block["trial"].tolist())
 
 
 def _table_lines(columns: list) -> str:
@@ -101,15 +122,17 @@ def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], tuple]:
     params = config.protocol
     taus = config.enhancement.tau_c_us_list or (params.tau_c_us,)
     ns = config.enhancement.n_write_max_list or (params.n_write_max,)
-    baselines = np.array([p4c_no_feedback(replace(params, tau_c_us=tau)) for tau in taus])
-    if not baselines.all():
+    baselines, baseline = p4c_no_feedback(params, taus), p4c_no_feedback(params)
+    if not (baselines.all() and baseline):
         raise ValueError("no-feedback coincidence probability is zero")
     grid = p4c_feedback_by_n(params, taus, ns) / baselines[:, None]
     columns = [np.repeat(taus, len(ns)).tolist(), list(ns) * len(taus), grid.ravel().tolist()]
+    # the derived ratio comes last, so that a non-finite input is named first
+    feedback = p4c_feedback_closed_form(params)
     metrics = {
-        "enhancement": enhancement_factor(params),
-        "p4c_feedback": p4c_feedback_closed_form(params),
-        "p4c_no_feedback": p4c_no_feedback(params),
+        "p4c_feedback": feedback,
+        "p4c_no_feedback": baseline,
+        "enhancement": feedback / baseline,
     }
     return metrics, (("tau_c_us", "n_write_max", "enhancement"), columns)
 

@@ -15,7 +15,7 @@ from heraldsync.config import N_WRITE_MAX_CAP
 from heraldsync.photon_stats import FockDistribution, SourceParams
 from heraldsync.protocol import (
     _CHUNK_SIZE,
-    _GRID_BLOCK,
+    _GRID_CELLS,
     _four_fold_table,
     _heralds,
     _holds,
@@ -353,7 +353,10 @@ def test_column_entries_bit_identical(
         assert grid[0, ns.index(small)] == pytest.approx(p4c_brute_force(point), rel=1e-12)
 
 
-@pytest.mark.parametrize("count", [1, _GRID_BLOCK - 1, _GRID_BLOCK, _GRID_BLOCK + 1])
+_ROWS_AT_2000 = _GRID_CELLS // 2000  # tau rows per grid block when the largest N is 2000
+
+
+@pytest.mark.parametrize("count", [1, _ROWS_AT_2000 - 1, _ROWS_AT_2000, _ROWS_AT_2000 + 1])
 @pytest.mark.parametrize("model", list(DecayModel))
 def test_grid_rows_bit_identical_across_block_boundaries(count, model):
     # a row does not depend on the block it falls in, nor on its place there
@@ -370,12 +373,13 @@ def test_grid_rows_bit_identical_across_block_boundaries(count, model):
 
 
 def test_grid_memory_is_bounded_by_the_block():
-    # 200 tau rows at the largest budget: the grid builds _GRID_BLOCK of them
-    # at a time (gap terms, then their products), never all 200 at once
+    # 200 tau rows at the largest budget: the grid builds one of them at a
+    # time (gap terms, then their products), never all 200 at once
     params = default_params()
     taus = np.linspace(1.0, 200.0, 200).tolist()
     n = N_WRITE_MAX_CAP
-    block_bytes = 2 * _GRID_BLOCK * n * 8
+    assert _GRID_CELLS // n == 0  # below one row: the block is one tau
+    block_bytes = 2 * 1 * n * 8
     tracemalloc.start()
     try:
         grid = p4c_feedback_by_n(params, taus, (n,))
@@ -383,7 +387,7 @@ def test_grid_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert grid.shape == (200, 1)
-    assert peak < 2 * block_bytes + 16 * n * 8 < len(taus) * 2 * n * 8
+    assert peak < 2 * block_bytes + 12 * n * 8 < len(taus) * 2 * n * 8
     assert grid[-1, 0] == p4c_feedback_closed_form(replace(params, tau_c_us=200.0, n_write_max=n))
 
 
@@ -546,6 +550,28 @@ def test_campaign_records_consistent():
     # byte-exact reproducibility
     _, records2 = simulate_campaign_records(params, 70_000, seed=5)
     assert records.tobytes() == records2.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(make_params(p_a=0.1, p_b=0.2, n_write_max=4, latency_ns=50.0), id="dense"),
+        pytest.param(make_params(p_a=0.3, p_b=0.05, n_write_max=1), id="n1"),
+    ],
+)
+def test_record_blocks_mark_where_a_node_did_not_herald(params):
+    # in every block, a node that did not herald reads -1, and its trial
+    # has NaN for both holds and no four-fold
+    blocks = list(CampaignRecords(params, _CHUNK_SIZE + 4464, seed=9))
+    assert [block.size for block in blocks] == [_CHUNK_SIZE, 4464]
+    for block in blocks:
+        for column in ("herald_a", "herald_b"):
+            assert np.all(block[column][block[column] < 0] == -1)
+        missing = (block["herald_a"] == -1) | (block["herald_b"] == -1)
+        assert missing.any() and not missing.all()
+        for column in ("hold_a_ns", "hold_b_ns"):
+            assert np.array_equal(np.isnan(block[column]), missing)
+        assert not block["four_fold"][missing].any()
 
 
 # three full chunks and a partial one

@@ -14,8 +14,8 @@ import pytest
 import heraldsync
 from heraldsync.cli import main
 from heraldsync.config import parse_config
-from heraldsync.protocol import TRIAL_RECORD_DTYPE
-from heraldsync.runner import _fmt, emit_outputs, run_scenario
+from heraldsync.protocol import N_WRITE_MAX_CAP, TRIAL_RECORD_DTYPE
+from heraldsync.runner import _distinct, _fmt, emit_outputs, run_scenario
 
 
 def run_text(text: str):
@@ -135,8 +135,8 @@ RECORD_SOURCES_DENSE = (
 
 RECORDS = "scenario = protocol_sim\nprotocol_sim.record_trials = true\n"
 
-# Sources given by eta_as, for the sweep grid: 37 tau values span three
-# 16-row blocks of the closed-form grid, and N runs up to 2000.
+# Sources given by eta_as, for the sweep grid: N runs up to 2000, where a
+# block of the closed-form grid holds 16 tau rows, so 37 tau values span three.
 GRID_SOURCES = (
     "protocol.source_a.eta_as = 0.5\nprotocol.source_a.p_as = 0.01\n"
     "protocol.source_b.eta_as = 0.65\nprotocol.source_b.p_as = 0.004\n"
@@ -297,19 +297,27 @@ def test_records_table_golden_bytes(tmp_path, text, table_sha, summary_sha):
     assert hashlib.sha256(summary).hexdigest() == summary_sha
 
 
-def test_record_table_matches_per_cell_formatting(tmp_path):
-    # heralds far beyond any joint key a product of raw values could hold
-    rng = np.random.default_rng(8)
-    choices = np.array([-1, 0, 3, 2**40, 2**62])
-    records = np.zeros(70_000, dtype=TRIAL_RECORD_DTYPE)
-    records["trial"] = np.arange(records.size)
-    records["herald_a"] = rng.choice(choices, records.size)
-    records["herald_b"] = rng.choice(choices, records.size)
+def record_block(heralds_a, heralds_b, four_fold_draws, first_trial=0) -> np.ndarray:
+    """Trial records with these heralds, holds following from them as in a campaign."""
+    records = np.zeros(len(heralds_a), dtype=TRIAL_RECORD_DTYPE)
+    records["trial"] = np.arange(first_trial, first_trial + records.size)
+    records["herald_a"], records["herald_b"] = heralds_a, heralds_b
     joint = (records["herald_a"] >= 0) & (records["herald_b"] >= 0)
     later = np.maximum(records["herald_a"], records["herald_b"]).astype(float)
     for name, herald in (("hold_a_ns", "herald_a"), ("hold_b_ns", "herald_b")):
         records[name] = np.where(joint, (later - records[herald]) * 800.0 + 400.0, np.nan)
-    records["four_fold"] = joint & (rng.random(records.size) < 0.5)
+    records["four_fold"] = joint & np.asarray(four_fold_draws, dtype=bool)
+    return records
+
+
+def test_record_table_matches_per_cell_formatting(tmp_path):
+    # heralds far beyond any joint key a product of raw values could hold
+    rng = np.random.default_rng(8)
+    choices = np.array([-1, 0, 3, 2**40, 2**62])
+    size = 70_000
+    records = record_block(
+        rng.choice(choices, size), rng.choice(choices, size), rng.random(size) < 0.5
+    )
     table = (records.dtype.names, (records[:65_536], records[65_536:]))
     doc, _ = run_text("scenario = enhancement\n")
     emit_outputs(doc, table, tmp_path)
@@ -326,6 +334,71 @@ def test_record_table_emits_identically_twice(tmp_path):
     first = (tmp_path / "first" / "table.csv").read_bytes()
     assert first.count(b"\n") == 70_001
     assert (tmp_path / "second" / "table.csv").read_bytes() == first
+
+
+def widest_heralds(rng, size):
+    # every attempt index a campaign can record, both ends included
+    heralds = rng.integers(-1, N_WRITE_MAX_CAP, size)
+    heralds[:2] = -1, N_WRITE_MAX_CAP - 1
+    return heralds
+
+
+def record_case(case: str) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    if case == "empty":
+        return record_block([], [], [])
+    if case == "one-row":
+        return record_block([4], [9], [True], first_trial=41)
+    if case == "identical":
+        return record_block([5] * 3000, [2] * 3000, [True] * 3000)
+    if case == "distinct":
+        heralds_a = np.arange(-1, 2999)
+        return record_block(heralds_a, rng.permutation(heralds_a), rng.random(3000) < 0.5)
+    size = 1 << 16  # a campaign chunk, whose heralds span the counting table's largest size
+    return record_block(
+        widest_heralds(rng, size), widest_heralds(rng, size), rng.random(size) < 0.5, 10**12
+    )
+
+
+@pytest.mark.parametrize("case", ["empty", "one-row", "identical", "distinct", "widest"])
+def test_record_block_matches_per_cell_formatting(tmp_path, case):
+    block = record_case(case)
+    names = TRIAL_RECORD_DTYPE.names
+    expected = per_cell_table(names, [*zip(*block.tolist())])
+    assert emitted_table(tmp_path, names, (block,)) == expected
+    if case == "empty":
+        assert expected == ",".join(names) + "\n"
+
+
+def test_dense_campaign_record_table_matches_per_cell_formatting(tmp_path):
+    doc, (names, records) = run_text(RECORDS + "seed = 4\ntrials = 70000\n" + RECORD_SOURCES_DENSE)
+    rows = [row for block in records for row in block.tolist()]
+    assert len(rows) == 70_000
+    emit_outputs(doc, (names, records), tmp_path)
+    assert (tmp_path / "table.csv").read_text() == per_cell_table(names, [*zip(*rows)])
+
+
+@pytest.mark.parametrize(
+    "case", ["empty", "one", "constant", "huge", "sorted", "reversed", "field", "wide", "widest"]
+)
+def test_distinct_matches_unique(case):
+    # counting over a short span and the sort over a long one agree with np.unique
+    rng = np.random.default_rng(12)
+    values = {
+        "empty": np.empty(0, dtype=np.int64),
+        "one": np.array([-7]),
+        "constant": np.full(500, 2**62),
+        "huge": np.array([2**62, -1, 2**40, -1, 0]),
+        "sorted": np.arange(-3, 1000),
+        "reversed": np.arange(N_WRITE_MAX_CAP, -2, -1),
+        "field": record_case("distinct")["herald_b"],
+        "wide": rng.integers(-1, 10**9, 1000),
+        "widest": widest_heralds(rng, 1 << 16),
+    }[case]
+    expected_values, expected_index = np.unique(values, return_inverse=True)
+    distinct, index = _distinct(values)
+    assert distinct.tolist() == expected_values.tolist()
+    assert index.tolist() == expected_index.tolist()
 
 
 def per_cell_table(names, columns) -> str:
