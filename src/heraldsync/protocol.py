@@ -48,8 +48,7 @@ __all__ = [
     "TRIAL_RECORD_DTYPE",
 ]
 
-_CHUNK_SIZE = 1 << 16  # trials per random substream; fixed so results never
-                       # depend on how a campaign is split across workers
+_CHUNK_SIZE = 1 << 16  # rows per record block, and the fewest trials per substream
 _GRID_CELLS = 1 << 15  # tau x gap cells per block of the sweep grid, which bounds its memory
 #: Largest write budget N accepted (``protocol.n_write_max`` and every
 #: ``enhancement.n_write_max_list`` entry); the closed form allocates O(N) per tau block.
@@ -100,7 +99,8 @@ def memory_retrieval_efficiency(
             exponent = -t_us / tau_c_us
         else:
             raise ValueError(f"unknown decay model {model!r}")
-    out = gamma0 * np.exp(exponent)
+    out = np.exp(exponent)
+    out *= gamma0  # in place on an array
     return float(out) if out.ndim == 0 else out
 
 
@@ -136,9 +136,15 @@ class ProtocolParams:
         )
 
 
-def _read_success(shape: FockDistribution, gamma):
-    # P(>=1 photon retrieved) for a memory holding the shape q.
-    return shape[1] * gamma + shape[2] * (2.0 - gamma) * gamma
+def _read_success(shape: FockDistribution, gamma, out):
+    # P(>=1 photon retrieved) for a memory holding the shape q,
+    # q1*gamma + q2*(2 - gamma)*gamma, written into out; gamma is overwritten.
+    # Each element takes the same products and sum, in commuted order.
+    np.subtract(2.0, gamma, out=out)
+    out *= shape[2]
+    out *= gamma
+    gamma *= shape[1]
+    out += gamma
 
 
 def _holds(params: ProtocolParams, attempt_a, attempt_b) -> tuple:
@@ -153,25 +159,29 @@ def _holds(params: ProtocolParams, attempt_a, attempt_b) -> tuple:
     return tuple((later - i) * params.dt_write_ns + overhead for i in (attempt_a, attempt_b))
 
 
-def _wait_success(params: ProtocolParams, d, taus=None) -> tuple:
+def _wait_success(params: ProtocolParams, d, taus=None, out=None) -> np.ndarray:
     """Each node's read success when it heralded ``d`` slots before its peer.
 
     The earlier node holds for the gap plus the rendezvous overhead; at
     ``d = 0`` this is the later node's read success.  Given ``taus``, one
-    row per memory lifetime there, not params' own.  This is the one place
-    a source that never heralds is handled: both successes are then zero.
+    row per memory lifetime there, not params' own.  Returns node A's and
+    node B's successes stacked on a first axis of two, written into ``out``
+    when given.  This is the one place a source that never heralds is
+    handled: both successes are then zero.
     """
     sources = (params.source_a, params.source_b)
     t_wait = _holds(params, 0, d)[0]
     tau = params.tau_c_us if taus is None else np.array([_check_tau_c(t) for t in taus])[:, None]
+    if out is None:
+        out = np.empty((2, *np.broadcast(t_wait, tau).shape))
     if min(source.herald_prob for source in sources) == 0.0:
-        zero = np.zeros(np.broadcast(t_wait, tau).shape)
-        return zero, zero
+        out[...] = 0.0
+        return out
     # one decay for both sources: gamma0 * (1.0 * exp) is memory_retrieval_efficiency(gamma0, ...)
     decay = memory_retrieval_efficiency(1.0, t_wait, params.decay_model, tau)
-    return tuple(
-        _read_success(source.heralded_shape(), source.gamma0 * decay) for source in sources
-    )
+    for k, source in enumerate(sources):
+        _read_success(source.heralded_shape(), source.gamma0 * decay, out[k, ...])
+    return out
 
 
 def p4c_no_feedback(params: ProtocolParams, taus=None):
@@ -217,9 +227,11 @@ def p4c_feedback_by_n(params: ProtocolParams, taus, ns) -> np.ndarray:
     # runs over i = 0..N-1-d, so budget N reads g[N-1::-1].
     g = np.cumsum((qa * qb) ** d)
     rows = max(1, _GRID_CELLS // n_max)
+    block = np.empty((2, min(rows, len(taus)), n_max))  # every block's gap terms, in turn
     blocks = []
     for lo in range(0, len(taus), rows):
-        terms = np.stack(_wait_success(params, d, taus[lo : lo + rows]))
+        block_taus = taus[lo : lo + rows]
+        terms = _wait_success(params, d, block_taus, block[:, : len(block_taus)])
         terms *= depletion[:, None]
         ra0, rb0 = terms[:, :, :1]  # d = 0: the depletion is 1, the hold the overhead
         sums = np.stack([(terms[..., :n] * g[n - 1 :: -1]).sum(axis=2) for n in ns], axis=2)
@@ -311,6 +323,27 @@ TRIAL_RECORD_DTYPE = np.dtype(
 )
 
 
+def _herald_within(p: float, n_max: int) -> float:
+    """P = 1 - (1 - p)**n_max, the probability that a node heralds in a trial."""
+    return 1.0 if p >= 1.0 else -math.expm1(n_max * math.log1p(-p))
+
+
+def _substream_trials(params: ProtocolParams) -> int:
+    """Trials per substream, 2**k with k = floor(log2(2**13 / P_max)) in [16, 40]:
+    about 2**13 expected heralds on the likelier node.
+
+    k is read off P_max's binary exponent, so a subnormal P_max cannot
+    overflow; P_max = 0 gives 2**40, which keeps every herald gap ((m + 1)
+    * N at most) and their running sum inside int64.
+    """
+    sources = (params.source_a, params.source_b)
+    p_max = max(_herald_within(source.herald_prob, params.n_write_max) for source in sources)
+    if p_max == 0.0:
+        return 1 << 40
+    mantissa, exponent = math.frexp(p_max)  # p_max = mantissa * 2**exponent, mantissa in [1/2, 1)
+    return 1 << min(max(13 - exponent + (mantissa == 0.5), 16), 40)
+
+
 def _heralds(rng: np.random.Generator, p: float, n_max: int, m: int):
     """Sorted heralded trials among ``m`` and the attempt index of each.
 
@@ -325,7 +358,7 @@ def _heralds(rng: np.random.Generator, p: float, n_max: int, m: int):
     if p >= 1.0:
         return np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     lam = -math.log1p(-p)
-    big_p = -math.expm1(n_max * -lam)
+    big_p = _herald_within(p, n_max)
     parts, last = [], -1
     while last < m - 1:
         rest = (m - 1 - last) * big_p
@@ -354,36 +387,50 @@ def _four_fold_table(params: ProtocolParams) -> np.ndarray:
     return np.concatenate([ra_wait[0] * rb_wait[:0:-1], ra_wait * rb_wait[0]])
 
 
-def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterator[tuple]:
-    """Yield ``(offset, size, rng, heralds_a, joint, attempts, four_fold)`` per chunk.
+def _empty_trials(taken: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The trial of each index ``k`` into the trials not in ``taken`` (both sorted).
 
-    Chunk c draws from the substream (seed, c): node A's ``(positions,
-    attempts)``, then node B's over A's heralded trials, which gives ``joint``
-    and both nodes' ``attempts`` there, then one uniform per joint trial
-    against :func:`_four_fold_table` at its signed gap.  ``rng`` is handed
-    on: B's heralds on A's empty trials, which no count needs, come next.
+    The k-th such trial is k plus the taken trials before it: those with
+    taken[i] - i, the untaken trials before taken[i], at most k.  Memory is
+    O(len(taken) + len(k)), whatever the trial span.
+    """
+    return k + np.searchsorted(taken - np.arange(taken.size), k, "right")
+
+
+def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterator[tuple]:
+    """Yield ``(offset, size, rng, heralds_a, joint, attempts, four_fold)`` per substream.
+
+    Substream c covers :func:`_substream_trials` trials from c times that
+    and draws from the generator (seed, c): node A's ``(positions,
+    attempts)``, then node B's over A's heralded trials, which gives
+    ``joint`` and both nodes' ``attempts`` there, then one uniform per joint
+    trial against :func:`_four_fold_table` at its signed gap.  ``rng`` is
+    handed on: B's heralds on A's empty trials, which no count needs, come
+    next.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     p_a, p_b = params.source_a.herald_prob, params.source_b.herald_prob
     n_max = params.n_write_max
     table = _four_fold_table(params)
-    for c in range((n_trials + _CHUNK_SIZE - 1) // _CHUNK_SIZE):
-        m = min(_CHUNK_SIZE, n_trials - c * _CHUNK_SIZE)
+    size = _substream_trials(params)
+    for c in range(-(-n_trials // size)):
+        m = min(size, n_trials - c * size)
         rng = np.random.default_rng([seed, c])
         pos_a, att_a = _heralds(rng, p_a, n_max, m)
         in_a, att_b = _heralds(rng, p_b, n_max, pos_a.size)
         attempts = att_a[in_a], att_b
         four_fold = rng.random(in_a.size) < table[att_b - attempts[0] + (n_max - 1)]
-        yield c * _CHUNK_SIZE, m, rng, (pos_a, att_a), pos_a[in_a], attempts, four_fold
+        yield c * size, m, rng, (pos_a, att_a), pos_a[in_a], attempts, four_fold
 
 
 def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> CoincidenceStats:
     """Run ``n_trials`` independent protocol trials and aggregate coincidences.
 
-    Trials are sampled in fixed-size chunks, each from the substream keyed
-    (seed, chunk index), and counts are summed; results are identical for
-    a given (params, n_trials, seed) no matter how chunks are scheduled.
+    Trials are sampled in substreams whose size depends on the config
+    alone, each from the generator keyed (seed, substream index), and
+    counts are summed; results are identical for a given (params,
+    n_trials, seed) no matter how substreams are scheduled.
     """
     count = sum(int(np.count_nonzero(c[-1])) for c in _campaign_chunks(params, n_trials, seed))
     return CoincidenceStats.from_counts(n_trials, count)
@@ -391,7 +438,8 @@ def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> Coinc
 
 @dataclass(frozen=True)
 class CampaignRecords:
-    """Per-trial records, one ``TRIAL_RECORD_DTYPE`` block per chunk on every pass."""
+    """Per-trial ``TRIAL_RECORD_DTYPE`` blocks of at most ``_CHUNK_SIZE`` rows,
+    the same blocks on every pass."""
 
     params: ProtocolParams
     n_trials: int
@@ -402,17 +450,26 @@ class CampaignRecords:
         p_b, n_max = params.source_b.herald_prob, params.n_write_max
         chunks = _campaign_chunks(params, self.n_trials, self.seed)
         for lo, m, rng, (pos_a, att_a), joint, attempts, four_fold in chunks:
-            block = np.zeros(m, TRIAL_RECORD_DTYPE)
-            block["herald_a"] = block["herald_b"] = -1
-            block["hold_a_ns"] = block["hold_b_ns"] = np.nan
-            block["trial"] = np.arange(lo, lo + m)
-            block["herald_a"][pos_a] = att_a
-            empty = np.flatnonzero(block["herald_a"] < 0)  # B there: the chunk's last draws
-            in_empty, att_b = _heralds(rng, p_b, n_max, empty.size)
-            block["herald_b"][joint], block["herald_b"][empty[in_empty]] = attempts[1], att_b
-            block["hold_a_ns"][joint], block["hold_b_ns"][joint] = _holds(params, *attempts)
-            block["four_fold"][joint] = four_fold
-            yield block
+            # B on A's empty trials: the substream's last draws
+            in_empty, att_e = _heralds(rng, p_b, n_max, m - pos_a.size)
+            pos_e = _empty_trials(pos_a, in_empty)
+            holds = _holds(params, *attempts)
+            for start in range(0, m, _CHUNK_SIZE):
+                rows = min(_CHUNK_SIZE, m - start)
+                a, j, e = (
+                    slice(*np.searchsorted(x, (start, start + rows))) for x in (pos_a, joint, pos_e)
+                )
+                block = np.zeros(rows, TRIAL_RECORD_DTYPE)
+                block["herald_a"] = block["herald_b"] = -1
+                block["hold_a_ns"] = block["hold_b_ns"] = np.nan
+                block["trial"] = np.arange(lo + start, lo + start + rows)
+                block["herald_a"][pos_a[a] - start] = att_a[a]
+                block["herald_b"][pos_e[e] - start] = att_e[e]
+                here = joint[j] - start
+                block["herald_b"][here] = attempts[1][j]
+                block["hold_a_ns"][here], block["hold_b_ns"][here] = holds[0][j], holds[1][j]
+                block["four_fold"][here] = four_fold[j]
+                yield block
 
 
 def simulate_campaign_records(

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from heraldsync.photon_stats import FockDistribution, SourceParams
 from heraldsync.protocol import (
     _CHUNK_SIZE,
     _GRID_CELLS,
+    _empty_trials,
     _four_fold_table,
     _heralds,
     _holds,
     _retrieved,
+    _substream_trials,
     _wait_success,
     CampaignRecords,
     CoincidenceStats,
@@ -387,8 +390,24 @@ def test_grid_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert grid.shape == (200, 1)
-    assert peak < 2 * block_bytes + 12 * n * 8 < len(taus) * 2 * n * 8
+    assert peak < block_bytes + 9 * n * 8 < len(taus) * 2 * n * 8
     assert grid[-1, 0] == p4c_feedback_closed_form(replace(params, tau_c_us=200.0, n_write_max=n))
+
+
+def test_sweep_grid_memory_is_about_two_blocks():
+    # the analytic sweep's shape, 41 tau and N up to 2000: one preallocated
+    # block of gap terms, written in place, and one product of it at a time
+    params = default_params()
+    taus = np.linspace(0.5, 60.0, 41).tolist()
+    ns = tuple(int(n) for n in np.unique(np.round(np.geomspace(1, 2000, 70))))
+    block_bytes = 2 * (_GRID_CELLS // 2000) * 2000 * 8
+    tracemalloc.start()
+    try:
+        p4c_feedback_by_n(params, taus, ns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block_bytes < 1.3e6
 
 
 def test_column_rejects_empty_budget():
@@ -565,13 +584,20 @@ def test_record_blocks_mark_where_a_node_did_not_herald(params):
     blocks = list(CampaignRecords(params, _CHUNK_SIZE + 4464, seed=9))
     assert [block.size for block in blocks] == [_CHUNK_SIZE, 4464]
     for block in blocks:
-        for column in ("herald_a", "herald_b"):
-            assert np.all(block[column][block[column] < 0] == -1)
-        missing = (block["herald_a"] == -1) | (block["herald_b"] == -1)
+        missing = check_block_marks(block)
         assert missing.any() and not missing.all()
-        for column in ("hold_a_ns", "hold_b_ns"):
-            assert np.array_equal(np.isnan(block[column]), missing)
-        assert not block["four_fold"][missing].any()
+
+
+def check_block_marks(block):
+    """A node that did not herald reads -1, and its trial has NaN for both
+    holds and no four-fold; returns where a node did not herald."""
+    for column in ("herald_a", "herald_b"):
+        assert np.all(block[column][block[column] < 0] == -1)
+    missing = (block["herald_a"] == -1) | (block["herald_b"] == -1)
+    for column in ("hold_a_ns", "hold_b_ns"):
+        assert np.array_equal(np.isnan(block[column]), missing)
+    assert not block["four_fold"][missing].any()
+    return missing
 
 
 # three full chunks and a partial one
@@ -586,7 +612,7 @@ DENSE_DARK = ProtocolParams(
 
 def herald_within(p: float, n_max: int) -> float:
     """P = 1 - (1-p)**N: a node heralds within its write budget."""
-    return -math.expm1(n_max * math.log1p(-p))
+    return 1.0 if p == 1.0 else -math.expm1(n_max * math.log1p(-p))
 
 
 def p_for_herald_within(big_p: float, n_max: int) -> float:
@@ -768,6 +794,100 @@ def test_records_four_fold_per_gap_matches_table(params):
         assert 2.0 * tail > 1e-3 / len(strata), (g, k, size * p)
 
 
+def substream_oracle(p_max: float) -> int:
+    """2**k for the largest k with 2**k * P_max <= 2**13, in exact rationals,
+    clamped to [2**16, 2**40]."""
+    if p_max == 0.0:
+        return 1 << 40
+    k, p = 16, Fraction(p_max)
+    while k < 40 and (1 << (k + 1)) * p <= 1 << 13:
+        k += 1
+    return 1 << k
+
+
+@pytest.mark.parametrize(
+    "params,size",
+    [
+        pytest.param(default_params(), 1 << 18, id="default"),
+        pytest.param(DENSE_DARK, 1 << 16, id="dense-dark"),
+        pytest.param(ASYMMETRIC_DENSE, 1 << 16, id="asymmetric"),
+        pytest.param(make_params(p_a=0.1, p_b=0.2, n_write_max=4), 1 << 16, id="dense"),
+        pytest.param(make_params(p_a=0.3, p_b=0.05, n_write_max=1), 1 << 16, id="n1"),
+        pytest.param(make_params(p_a=1.0, p_b=0.0), 1 << 16, id="certain"),
+        pytest.param(make_params(p_a=0.0, p_b=0.0), 1 << 40, id="never"),
+        pytest.param(make_params(p_a=5e-324, p_b=5e-324), 1 << 40, id="5e-324"),
+        pytest.param(make_params(p_a=0.0, p_b=1e-310), 1 << 40, id="1e-310"),
+        pytest.param(make_params(p_a=1e-17, p_b=0.0), 1 << 40, id="1e-17"),
+        # P_max = 1/8 and 1/16 exactly (n = 1 and a power-of-two p)
+        pytest.param(make_params(p_a=0.125, p_b=0.0, n_write_max=1), 1 << 16, id="eighth"),
+        pytest.param(make_params(p_a=0.0, p_b=0.0625, n_write_max=1), 1 << 17, id="sixteenth"),
+    ],
+)
+def test_substream_size_rule(params, size):
+    # about 2**13 expected heralds on the likelier node, within [2**16, 2**40]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _substream_trials(params) == size
+
+
+@given(
+    p_a=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    exponent=st.floats(min_value=-330.0, max_value=0.0),
+    n_write_max=st.integers(min_value=1, max_value=N_WRITE_MAX_CAP),
+)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_substream_size_matches_exact_oracle(p_a, exponent, n_write_max):
+    params = make_params(p_a=p_a, p_b=10.0**exponent, n_write_max=n_write_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p_max = max(herald_within(s.herald_prob, n_write_max)
+                    for s in (params.source_a, params.source_b))
+        assert _substream_trials(params) == substream_oracle(p_max)
+
+
+def sorted_subset(draw, size):
+    """Sorted distinct int64 indices below ``size``: none, all, or some."""
+    kind = draw(st.sampled_from(["none", "all", "some"]))
+    if kind == "none" or size == 0:
+        return np.empty(0, dtype=np.int64)
+    if kind == "all":
+        return np.arange(size, dtype=np.int64)
+    chosen = draw(st.sets(st.integers(0, size - 1), max_size=size))
+    return np.array(sorted(chosen), dtype=np.int64)
+
+
+@given(data=st.data(), m=st.integers(min_value=0, max_value=300))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_empty_trials_match_flatnonzero(data, m):
+    # the records path maps B's draws over A's empty trials with O(heralds)
+    # memory; it must pick the same trials as a mask over the substream
+    taken = sorted_subset(data.draw, m)
+    mask = np.zeros(m, dtype=bool)
+    mask[taken] = True
+    empty = np.flatnonzero(~mask)
+    k = sorted_subset(data.draw, empty.size)
+    assert np.array_equal(_empty_trials(taken, k), empty[k])
+
+
+def test_sparse_records_across_substreams():
+    # the paper's physics: 2**18-trial substreams, each cut into record
+    # blocks of at most _CHUNK_SIZE rows
+    params = default_params()
+    size = _substream_trials(params)
+    n_trials = size + 70_000
+    blocks = list(CampaignRecords(params, n_trials, seed=31))
+    assert [block.size for block in blocks] == [_CHUNK_SIZE] * 5 + [70_000 - _CHUNK_SIZE]
+    for block in blocks:
+        check_block_marks(block)
+    records = np.concatenate(blocks)
+    stats = simulate_campaign(params, n_trials, seed=31)
+    check_records(params, stats, records, n_trials)
+    again = np.concatenate([*CampaignRecords(params, n_trials, seed=31)])
+    assert again.tobytes() == records.tobytes()
+    for source, column in ((params.source_a, "herald_a"), (params.source_b, "herald_b")):
+        assert_heralds_follow_law(records, column, source.herald_prob, params.n_write_max)
+
+
 herald_probs = st.one_of(
     st.sampled_from([0.0, 1.0]),
     st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0**e),
@@ -780,14 +900,19 @@ herald_probs = st.one_of(
     n_write_max=st.integers(min_value=1, max_value=30),
     latency_ns=st.floats(min_value=0.0, max_value=3000.0),
     decay_model=st.sampled_from(list(DecayModel)),
-    n_trials=st.integers(min_value=1, max_value=2).flatmap(
-        lambda k: st.integers(k * _CHUNK_SIZE - 3, k * _CHUNK_SIZE + 3)
-    ),
+    boundaries=st.integers(min_value=1, max_value=2),
+    offset=st.integers(min_value=-3, max_value=3),
     seed=st.integers(min_value=0, max_value=2**63 - 1),
 )
+@example(p_a=0.0, p_b=0.03, n_write_max=1, latency_ns=0.0,
+         decay_model=DecayModel.EXPONENTIAL, boundaries=2, offset=3, seed=1)
+@example(p_a=2.0e-3, p_b=2.0e-3, n_write_max=12, latency_ns=0.0,
+         decay_model=DecayModel.GAUSSIAN_HALF, boundaries=1, offset=-3, seed=2)
+@example(p_a=0.015625, p_b=1.0e-4, n_write_max=1, latency_ns=700.0,
+         decay_model=DecayModel.GAUSSIAN_HALF, boundaries=1, offset=1, seed=3)
 @settings(derandomize=True, max_examples=25, deadline=None)
 def test_campaign_count_and_records_agree(
-    p_a, p_b, n_write_max, latency_ns, decay_model, n_trials, seed
+    p_a, p_b, n_write_max, latency_ns, decay_model, boundaries, offset, seed
 ):
     params = make_params(
         p_a=p_a,
@@ -798,6 +923,11 @@ def test_campaign_count_and_records_agree(
         decay_model=decay_model,
         tau_c_us=3.0,
     )
+    # within 3 trials of the params' own substream boundaries; a substream
+    # too long to record here (P_max < 1/64) is crossed at record block
+    # boundaries instead
+    size = _substream_trials(params)
+    n_trials = boundaries * (size if size <= 1 << 19 else _CHUNK_SIZE) + offset
     stats, records = simulate_campaign_records(params, n_trials, seed)
     assert simulate_campaign(params, n_trials, seed) == stats
     check_records(params, stats, records, n_trials)

@@ -154,9 +154,18 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
     [
         pytest.param(
             RECORDS + "seed = 7\ntrials = 70000\n",
-            "3f9bf23ec0b5b783e1e92236cf54ccfdb0d124c876366db0c58e8ef48d9efa6c",
-            "cbcdaef2637fc4c72a9120ba40b62e10520b5cdb9e1a232b26f57f5658f53a19",
+            "3de6ae65b5ec72252122630dabe12fb131a85c6ddb74b176985366ab8d14a128",
+            "c82289b238b1fbc2ccf0ee79ddd473a68f8a3da7b6c9f91eff2d531b71b42702",
             id="default-across-chunk-boundary",
+        ),
+        pytest.param(
+            # P_max = 0.047 gives 2**17-trial substreams: this crosses a record
+            # block boundary inside the first and then the substream boundary
+            RECORDS + "seed = 17\ntrials = 140000\nprotocol.source_a.p_as = 0.004\n"
+            "protocol.source_a.gamma0 = 0.6\nprotocol.source_b.gamma0 = 0.5\n",
+            "0e6173e76bd117e01d3862cb4c5b4947aaecc266e69472480c4a2315faad66ef",
+            "f9887807f42a268388239efd5dff1f86fd305942bd3bf560015dc095265f2684",
+            id="across-substream-boundary",
         ),
         pytest.param(
             RECORDS + "seed = 3\ntrials = 1\n",
