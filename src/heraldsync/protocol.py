@@ -344,7 +344,13 @@ def _substream_trials(params: ProtocolParams) -> int:
     return 1 << min(max(13 - exponent + (mantissa == 0.5), 16), 40)
 
 
-def _heralds(rng: np.random.Generator, p: float, n_max: int, m: int):
+def _draw_bound(rest: float) -> int:
+    """Exponentials drawn for ``rest`` expected heralds: 4 sigma and 16 over,
+    so that one draw nearly always reaches past the index space."""
+    return int(rest + 4.0 * math.sqrt(rest)) + 16
+
+
+def _heralds(rng: np.random.Generator, p: float, n_max: int, m: int, work=None):
     """Sorted heralded trials among ``m`` and the attempt index of each.
 
     The attempts form one Bernoulli(p) stream, ``n_max`` per trial and cut
@@ -352,6 +358,11 @@ def _heralds(rng: np.random.Generator, p: float, n_max: int, m: int):
     it, y = floor(E/lambda) with lambda = -log(1-p): by memorylessness, y //
     n_max trials pass without a herald and the next heralds at attempt y %
     n_max.  E is capped so that y stops just past the index space.
+
+    ``work``, a float64 and two int64 buffers of one length, takes the
+    draws and every pass over them in place, and the results are views into
+    it.  Draws longer than it, and every part after the first, take fresh
+    arrays; either way the draws and the results are the same.
     """
     if p <= 0.0 or m == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -361,16 +372,21 @@ def _heralds(rng: np.random.Generator, p: float, n_max: int, m: int):
     big_p = _herald_within(p, n_max)
     parts, last = [], -1
     while last < m - 1:
-        rest = (m - 1 - last) * big_p
-        e = rng.standard_exponential(int(rest + 4.0 * math.sqrt(rest)) + 16)
-        # the cast of y >= 0 is its floor; y - skips * n_max beats np.divmod
-        y = np.divide(np.minimum(e, lam * (m + 1) * n_max, out=e), lam, out=e).astype(np.int64)
-        skips = y // n_max
-        attempts = np.subtract(y, skips * n_max, out=y)
+        size = _draw_bound((m - 1 - last) * big_p)
+        if parts or work is None or size > work[0].size:
+            work = np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
+        e, y, skips = (w[:size] for w in work)
+        rng.standard_exponential(out=e)
+        np.divide(np.minimum(e, lam * (m + 1) * n_max, out=e), lam, out=e)
+        # the cast of y >= 0 is its floor; y - skips * n_max beats np.divmod,
+        # and its product goes over the spent draws
+        np.copyto(y, e, casting="unsafe")
+        np.floor_divide(y, n_max, out=skips)
+        attempts = np.subtract(y, np.multiply(skips, n_max, out=e.view(np.int64)), out=y)
         positions = np.add(np.cumsum(np.add(skips, 1, out=skips), out=skips), last, out=skips)
         parts.append((positions, attempts))
         last = int(positions[-1])
-    positions, attempts = (np.concatenate(x) for x in zip(*parts))
+    positions, attempts = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     kept = np.searchsorted(positions, m)
     return positions[:kept], attempts[:kept]
 
@@ -397,16 +413,34 @@ def _empty_trials(taken: np.ndarray, k: np.ndarray) -> np.ndarray:
     return k + np.searchsorted(taken - np.arange(taken.size), k, "right")
 
 
+def _workspace(*fields) -> list:
+    """Views into one ``np.empty`` block, one per ``(dtype, length)`` field,
+    each starting on an 8-byte boundary."""
+    spans, end = [], 0
+    for dtype, n in fields:
+        dtype = np.dtype(dtype)
+        spans.append((end, dtype, n))
+        end += -(-dtype.itemsize * n // 8) * 8
+    block = np.empty(end, dtype=np.uint8)
+    return [block[lo : lo + dtype.itemsize * n].view(dtype) for lo, dtype, n in spans]
+
+
 def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterator[tuple]:
-    """Yield ``(offset, size, rng, heralds_a, joint, attempts, four_fold)`` per substream.
+    """Yield ``(offset, size, rng, heralds_a, in_a, attempts, four_fold)`` per substream.
 
     Substream c covers :func:`_substream_trials` trials from c times that
     and draws from the generator (seed, c): node A's ``(positions,
-    attempts)``, then node B's over A's heralded trials, which gives
-    ``joint`` and both nodes' ``attempts`` there, then one uniform per joint
-    trial against :func:`_four_fold_table` at its signed gap.  ``rng`` is
-    handed on: B's heralds on A's empty trials, which no count needs, come
-    next.
+    attempts)``, then node B's over A's heralded trials, whose indices
+    ``in_a`` are the joint trials, and both nodes' ``attempts`` there, then
+    one uniform per joint trial against :func:`_four_fold_table` at its
+    signed gap.  ``rng`` is handed on: B's heralds on A's empty trials,
+    which no count needs, come next.
+
+    Every pass writes into one workspace, sized by the first (and largest)
+    substream's draw bounds and allocated once per campaign as a single
+    block, so that no substream maps fresh pages.  The yielded arrays are
+    views into it, valid only until the next item is drawn: copy what must
+    outlive it.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -414,14 +448,30 @@ def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterat
     n_max = params.n_write_max
     table = _four_fold_table(params)
     size = _substream_trials(params)
+    first = min(size, n_trials)
+    # B draws over A's heralds, which one draw of A's bound never exceeds
+    bound_a = _draw_bound(first * _herald_within(p_a, n_max))
+    k = max(bound_a, _draw_bound(min(first, bound_a) * _herald_within(p_b, n_max)))
+    draws, gathered, *ints, hits = _workspace(
+        *[(np.float64, k)] * 2, *[(np.int64, k)] * 5, (np.bool_, k)
+    )
     for c in range(-(-n_trials // size)):
         m = min(size, n_trials - c * size)
         rng = np.random.default_rng([seed, c])
-        pos_a, att_a = _heralds(rng, p_a, n_max, m)
-        in_a, att_b = _heralds(rng, p_b, n_max, pos_a.size)
-        attempts = att_a[in_a], att_b
-        four_fold = rng.random(in_a.size) < table[att_b - attempts[0] + (n_max - 1)]
-        yield c * size, m, rng, (pos_a, att_a), pos_a[in_a], attempts, four_fold
+        pos_a, att_a = _heralds(rng, p_a, n_max, m, (draws, *ints[0:2]))
+        in_a, att_b = _heralds(rng, p_b, n_max, pos_a.size, (draws, *ints[2:4]))
+        n = in_a.size
+        step = (draws, gathered, ints[4], hits) if n <= k else _workspace(
+            (np.float64, n), (np.float64, n), (np.int64, n), (np.bool_, n)
+        )
+        uniforms, table_at, joint_a, four_fold = (w[:n] for w in step)
+        gap = uniforms.view(np.int64)  # the table index, over B's spent draws
+        # mode="raise" would copy into out; every index is in range
+        np.take(att_a, in_a, out=joint_a, mode="clip")
+        np.add(np.subtract(att_b, joint_a, out=gap), n_max - 1, out=gap)
+        np.take(table, gap, out=table_at, mode="clip")
+        np.less(rng.random(out=uniforms), table_at, out=four_fold)
+        yield c * size, m, rng, (pos_a, att_a), in_a, (joint_a, att_b), four_fold
 
 
 def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> CoincidenceStats:
@@ -449,7 +499,8 @@ class CampaignRecords:
         params = self.params
         p_b, n_max = params.source_b.herald_prob, params.n_write_max
         chunks = _campaign_chunks(params, self.n_trials, self.seed)
-        for lo, m, rng, (pos_a, att_a), joint, attempts, four_fold in chunks:
+        for lo, m, rng, (pos_a, att_a), in_a, attempts, four_fold in chunks:
+            joint = pos_a[in_a]
             # B on A's empty trials: the substream's last draws
             in_empty, att_e = _heralds(rng, p_b, n_max, m - pos_a.size)
             pos_e = _empty_trials(pos_a, in_empty)

@@ -718,6 +718,120 @@ def test_heralds_on_an_empty_index_space(p):
             check_records(params, stats, records, 1000)
 
 
+def draw_bound(p: float, n_max: int, m: int) -> int:
+    """Exponentials the sampler draws for ``m`` trials: 4 sigma and 16 over."""
+    rest = m * herald_within(p, n_max)
+    return int(rest + 4.0 * math.sqrt(rest)) + 16
+
+
+def herald_workspace(length: int):
+    return np.empty(length), np.empty(length, np.int64), np.empty(length, np.int64)
+
+
+def assert_workspace_is_invisible(rng_for, p, n_max, m, length):
+    # the same arrays and the same generator state after, so that every
+    # later draw of the substream (B's heralds, the four-fold uniforms, B
+    # on A's empty trials) lines up
+    plain_rng, work_rng = rng_for(), rng_for()
+    plain = _heralds(plain_rng, p, n_max, m)
+    work = herald_workspace(length)
+    with_work = _heralds(work_rng, p, n_max, m, work)
+    for x, y in zip(plain, with_work):
+        assert x.dtype == y.dtype == np.int64
+        assert np.array_equal(x, y)
+    assert plain_rng.bit_generator.state == work_rng.bit_generator.state
+    return with_work, work
+
+
+@given(
+    p=st.one_of(
+        st.sampled_from([1.0, 5e-324]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    ),
+    n_max=st.integers(min_value=1, max_value=40),
+    m=st.integers(min_value=0, max_value=3000),
+    slack=st.one_of(st.integers(min_value=-40, max_value=40), st.just(None)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(p=1.0, n_max=12, m=500, slack=0, seed=1)
+@example(p=5e-324, n_max=12, m=500, slack=0, seed=1)
+@example(p=0.2, n_max=12, m=0, slack=0, seed=1)
+@example(p=0.2, n_max=12, m=3000, slack=-1, seed=1)  # one draw short: fresh arrays
+@example(p=0.2, n_max=12, m=3000, slack=None, seed=1)  # an empty workspace
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_heralds_bit_identical_with_and_without_workspace(p, n_max, m, slack, seed):
+    length = 0 if slack is None else max(0, draw_bound(p, n_max, m) + slack)
+    (positions, attempts), work = assert_workspace_is_invisible(
+        lambda: np.random.default_rng(seed), p, n_max, m, length
+    )
+    if 0.0 < p < 1.0 and m > 0 and positions.size and draw_bound(p, n_max, m) <= length:
+        # a workspace that holds the draws holds the results
+        assert np.shares_memory(positions, work[2]) and np.shares_memory(attempts, work[1])
+
+
+class CrowdedGenerator:
+    """A generator whose exponentials are shrunk a thousandfold, so that
+    nearly every trial heralds and the sampler runs out of draws again and
+    again; everything else is the wrapped generator's."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+
+    def standard_exponential(self, size=None, out=None):
+        e = self.rng.standard_exponential(size, out=out)
+        e *= 1e-3
+        return e
+
+
+def test_heralds_multi_part_draws_leave_the_workspace_intact():
+    # every part after the first takes fresh arrays, so the first part's
+    # results, views into the workspace, are not overwritten
+    p, n_max, m = 0.01, 12, 2000
+    length = draw_bound(p, n_max, m)
+    (positions, _), _ = assert_workspace_is_invisible(
+        lambda: CrowdedGenerator(3), p, n_max, m, length
+    )
+    assert positions.size > 2 * length  # several parts
+    assert np.all(np.diff(positions) > 0) and positions[-1] < m
+
+
+def test_dense_campaign_memory_is_one_workspace():
+    # the dense sources heralding in 93% and 97% of trials: the workspace
+    # holds k = 62 090 draws (node A's bound over a 2**16-trial substream,
+    # above B's 61 167 over A's), as 2 float64 and 5 int64 arrays and one
+    # bool array, 3 539 136 bytes, allocated once; no substream adds more
+    params, size = DENSE_DARK, 1 << 16
+    assert _substream_trials(params) == size
+    n_max = params.n_write_max
+    bound_a = draw_bound(params.source_a.herald_prob, n_max, size)
+    bound_b = draw_bound(params.source_b.herald_prob, n_max, bound_a)
+    assert (bound_a, bound_b) == (62_090, 61_167)
+    k = max(bound_a, bound_b)
+    workspace_bytes = 7 * 8 * k + 8 * -(-k // 8)  # the bools padded to 8 bytes
+    assert workspace_bytes == 3_539_136
+    peaks = []
+    for n_trials in (size, 8 * size + 5):
+        tracemalloc.start()
+        try:
+            simulate_campaign(params, n_trials, seed=12)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024
+    assert max(peaks) < 1.25 * workspace_bytes
+
+
+def test_records_do_not_alias_the_campaign_workspace():
+    # the substream arrays are views into a workspace that the next
+    # substream overwrites; the record blocks must not be
+    n_trials = 3 * (1 << 16) + 7
+    blocks = list(CampaignRecords(DENSE_DARK, n_trials, seed=8))
+    copies = [block.copy() for block in CampaignRecords(DENSE_DARK, n_trials, seed=8)]
+    assert [block.size for block in blocks] == [1 << 16] * 3 + [7]
+    assert [block.tobytes() for block in blocks] == [block.tobytes() for block in copies]
+
+
 @pytest.mark.parametrize(
     "p_a,p_b",
     [
