@@ -4,18 +4,20 @@ Each node fires write pulses on a shared attempt clock until its herald
 detector clicks, then holds the stored excitation and exchanges ready
 messages with the peer; once both are ready the nodes read out
 simultaneously.  The module provides an exact closed-form evaluator of
-the four-fold coincidence probability under feedback, the no-feedback
-baseline, the enhancement factor, a straight-line single-trial reference
-model and the vectorized Monte Carlo campaign.
+the four-fold coincidence probability under feedback, as one nonnegative
+sum over the slot of the later herald, the no-feedback baseline, the
+enhancement factor, a straight-line single-trial reference model and the
+vectorized Monte Carlo campaign.
 
 Closed forms and simulators describe the same stochastic process: the
 per-node read success at hold time t is sum_n q[n]*(1-(1-gamma(t))**n)
 over the heralded excitation shape q, which reduces to gamma(t) for a
 single-excitation memory.  All three take hold times from :func:`_holds`.
-Both closed forms and the campaign share the per-gap read success
+Both closed forms and the campaign share the read success at a hold,
 :func:`_wait_success`: the campaign draws one uniform per jointly
-heralded trial against its product, and draws node B's heralds over node
-A's heralded trials, so that no intersection finds the joint ones.  The
+heralded trial against its product at the trial's gap, and draws node B's
+heralds over node A's heralded trials, so that no intersection finds the
+joint ones.  The
 trial alone samples retrieval excitation by excitation (:func:`_retrieved`),
 as an independent check.
 """
@@ -23,7 +25,7 @@ as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -49,9 +51,11 @@ __all__ = [
 ]
 
 _CHUNK_SIZE = 1 << 16  # rows per record block, and the fewest trials per substream
-_GRID_CELLS = 1 << 15  # tau x gap cells per block of the sweep grid, which bounds its memory
+_GRID_CELLS = 1 << 15  # tau x slot cells per block of the sweep grid, which bounds its memory
+_GRID_SLOTS = 1 << 13  # slots per step of the sweep grid at most, so a large N shares it among tau
+_SUM_EXPONENT = 500.0 * math.log(2.0)  # q**-k < 2**500 within one block of the closed form's sums
 #: Largest write budget N accepted (``protocol.n_write_max`` and every
-#: ``enhancement.n_write_max_list`` entry); the closed form allocates O(N) per tau block.
+#: ``enhancement.n_write_max_list`` entry); the closed form allocates O(N) per call.
 N_WRITE_MAX_CAP = 100_000
 
 
@@ -159,26 +163,26 @@ def _holds(params: ProtocolParams, attempt_a, attempt_b) -> tuple:
     return tuple((later - i) * params.dt_write_ns + overhead for i in (attempt_a, attempt_b))
 
 
-def _wait_success(params: ProtocolParams, d, taus=None, out=None) -> np.ndarray:
-    """Each node's read success when it heralded ``d`` slots before its peer.
+def _wait_success(params: ProtocolParams, hold_ns, taus=None, out=None) -> np.ndarray:
+    """Each node's read success after holding for ``hold_ns``.
 
-    The earlier node holds for the gap plus the rendezvous overhead; at
-    ``d = 0`` this is the later node's read success.  Given ``taus``, one
-    row per memory lifetime there, not params' own.  Returns node A's and
-    node B's successes stacked on a first axis of two, written into ``out``
-    when given.  This is the one place a source that never heralds is
-    handled: both successes are then zero.
+    A node that heralded d slots before its peer holds ``_holds(params, 0,
+    d)[0]``: the gap plus the rendezvous overhead, which at d = 0 is the
+    later node's hold.  Given ``taus``, one row per memory lifetime there,
+    not params' own.  Returns node A's and node B's successes stacked on a
+    first axis of two, written into ``out`` when given.  This is the one
+    place a source that never heralds is handled: both successes are then
+    zero.
     """
     sources = (params.source_a, params.source_b)
-    t_wait = _holds(params, 0, d)[0]
     tau = params.tau_c_us if taus is None else np.array([_check_tau_c(t) for t in taus])[:, None]
     if out is None:
-        out = np.empty((2, *np.broadcast(t_wait, tau).shape))
+        out = np.empty((2, *np.broadcast(hold_ns, tau).shape))
     if min(source.herald_prob for source in sources) == 0.0:
         out[...] = 0.0
         return out
     # one decay for both sources: gamma0 * (1.0 * exp) is memory_retrieval_efficiency(gamma0, ...)
-    decay = memory_retrieval_efficiency(1.0, t_wait, params.decay_model, tau)
+    decay = memory_retrieval_efficiency(1.0, hold_ns, params.decay_model, tau)
     for k, source in enumerate(sources):
         _read_success(source.heralded_shape(), source.gamma0 * decay, out[k, ...])
     return out
@@ -192,11 +196,10 @@ def p4c_no_feedback(params: ProtocolParams, taus=None):
     source's heralded shape (identical to gamma for a single-excitation
     memory).  The single-shot baseline reads both nodes on a fixed
     schedule with no ready-message exchange, so it pays no rendezvous
-    latency: its read success is the zero-gap one at zero latency, where
-    the hold is exactly ``dt_read_ns``.  Given ``taus``, an array of one
-    probability per memory lifetime there, not params' own.
+    latency: each memory holds for exactly ``dt_read_ns``.  Given ``taus``,
+    an array of one probability per memory lifetime there, not params' own.
     """
-    ra, rb = _wait_success(replace(params, latency_ns=0.0), 0, taus)
+    ra, rb = _wait_success(params, params.dt_read_ns, taus)
     p4c = params.source_a.herald_prob * ra * params.source_b.herald_prob * rb
     return float(p4c) if taus is None else p4c.ravel()
 
@@ -205,41 +208,71 @@ def p4c_feedback_by_n(params: ProtocolParams, taus, ns) -> np.ndarray:
     """Exact four-fold coincidence probability under feedback, one row per memory
     lifetime in ``taus`` and one column per write budget N in ``ns``, not params' own.
 
-    Sums over the herald attempts (i, j) of the two nodes: the node that
-    heralds first waits (j - i) write slots plus the rendezvous overhead
-    (a message round-trip, 2 * latency, and the read delay) while its
-    memory decays, the later one waits only the overhead.  Events are
-    partitioned by which node heralds first; the simultaneous-herald
-    stratum is counted once.  The gap terms are built up to max(ns), in
-    blocks of about ``_GRID_CELLS`` (tau, gap) cells and at least one tau;
-    each N sums its first N terms against geometric partial sums, so no
-    entry depends on the other tau or N.
+    One nonnegative sum over the later herald's slot L.  With r_j(w) node
+    j's read success after waiting w slots and q_j = 1 - p_j, node j
+    heralds exactly at L, read at once, with x_j(L) = p_j q_j**L r_j(0), and
+    heralds by L, read at L, with A_j(L) = q_j A_j(L - 1) + p_j r_j(L).
+    P(four-fold, later herald at L) = A_a(L) x_b(L) + x_a(L) (A_b(L) -
+    x_b(L)), B heralding strictly earlier in the second term.  No term
+    depends on N, so each N reads the cumsum over L at N - 1.
+
+    The read successes (:func:`_wait_success`) are written in place into
+    one block of about ``_GRID_CELLS`` (tau, slot) cells and at least one
+    tau, one step of at most ``_GRID_SLOTS`` slots after the next, and
+    become the sums there.  A_j is a cumsum of r_j(L) q_j**-L rescaled by
+    q_j**L, in sum blocks short enough that q_j**-L stays below 2**500;
+    each block then adds the last one's sum carried by q_j**(k + 1), and
+    the cumsum over L carries from step to step.  Every boundary depends on
+    params alone and every operation is per tau row, so no entry depends
+    on the other tau or N.
     """
     if min(ns) < 1:
         raise ValueError(f"every n_write_max must be >= 1, got {min(ns)}")
-    pa, pb = params.source_a.herald_prob, params.source_b.herald_prob
+    probs = params.source_a.herald_prob, params.source_b.herald_prob
     n_max = max(ns)
-    qa, qb = 1.0 - pa, 1.0 - pb
-
     d = np.arange(n_max, dtype=float)
-    depletion = np.stack([qb**d, qa**d])  # A first, B first
-    # G[m] = sum_{i=0}^{m} (qa*qb)^i; the inner depletion sum for gap d
-    # runs over i = 0..N-1-d, so budget N reads g[N-1::-1].
-    g = np.cumsum((qa * qb) ** d)
-    rows = max(1, _GRID_CELLS // n_max)
-    block = np.empty((2, min(rows, len(taus)), n_max))  # every block's gap terms, in turn
-    blocks = []
-    for lo in range(0, len(taus), rows):
-        block_taus = taus[lo : lo + rows]
-        terms = _wait_success(params, d, block_taus, block[:, : len(block_taus)])
-        terms *= depletion[:, None]
-        ra0, rb0 = terms[:, :, :1]  # d = 0: the depletion is 1, the hold the overhead
-        sums = np.stack([(terms[..., :n] * g[n - 1 :: -1]).sum(axis=2) for n in ns], axis=2)
-        a_first = pa * pb * rb0 * sums[0]
-        b_first = pa * pb * ra0 * sums[1]
-        diagonal = pa * pb * ra0 * rb0 * g[np.asarray(ns) - 1]
-        blocks.append(a_first + b_first - diagonal)
-    return np.concatenate(blocks)
+    powers = np.subtract(1.0, probs)[:, None] ** d  # q_j**L
+    hold = _holds(params, 0, d)[0]
+    # the nodes whose A_j needs the sum: at p = 1 (q = 0) it is p r_j(L) as it stands
+    live = slice(probs[0] >= 1.0, 2 - (probs[1] >= 1.0))
+    # slots per sum block, so that q**-k < 2**500 in one, and per step, in whole blocks
+    bounds = (_SUM_EXPONENT / -math.log1p(-p) for p in probs if 0.0 < p < 1.0)
+    size = int(min(n_max, _GRID_SLOTS, *bounds))
+    width = size * min(_GRID_SLOTS // size, -(-n_max // size))
+    weights, reach = powers[live, None, None, :size], powers[live, None, 1 : size + 1]
+    rows = max(1, _GRID_CELLS // width)
+    block = np.empty((2, min(rows, len(taus)), width))  # every step's read successes, in turn
+    cols = np.asarray(ns) - 1
+    grid = np.empty((len(taus), len(ns)))
+    for top in range(0, len(taus), rows):
+        block_taus = taus[top : top + rows]
+        carry = np.zeros((3, len(block_taus), 1))  # A_a / p_a, (A_b - x_b) / p_b, the cumsum
+        for lo in range(0, n_max, width):
+            hi = min(lo + width, n_max)
+            blocks = -(-(hi - lo) // size)
+            cells = block[:, : len(block_taus), : blocks * size]
+            cells[..., hi - lo :] = 0.0  # the last step's tail, up to a whole block
+            sums = _wait_success(params, hold[lo:hi], block_taus, cells[..., : hi - lo])
+            if lo == 0:
+                x0 = sums[:, :, :1] * (probs[0] * probs[1])  # p_a p_b r_j(0)
+                sums[1, :, 0] = 0.0  # B's herald at L itself is x_b
+            filtered = cells[live].reshape(*cells[live].shape[:2], blocks, size)
+            filtered /= weights
+            np.add.accumulate(filtered, axis=-1, out=filtered)
+            filtered *= weights
+            for b in range(0 if lo else 1, blocks):  # each block from the last one's sum
+                filtered[:, :, b] += reach * (filtered[:, :, b - 1, -1:] if b else carry[live])
+            carry[:2] = sums[..., -1:]
+            sums *= powers[::-1, None, lo:hi]  # A_a x_b and x_a (A_b - x_b)
+            sums *= x0[::-1]
+            later = np.add(sums[0], sums[1], out=sums[0])
+            if lo:
+                later[:, :1] += carry[2]
+            np.add.accumulate(later, axis=1, out=later)
+            carry[2] = later[:, -1:]
+            here = (cols >= lo) & (cols < hi)
+            grid[top : top + len(block_taus), here] = later[:, cols[here] - lo]
+    return grid
 
 
 def p4c_feedback_closed_form(params: ProtocolParams) -> float:
@@ -395,11 +428,11 @@ def _four_fold_table(params: ProtocolParams) -> np.ndarray:
     """P(four-fold | both heralded) at index ``attempt_b - attempt_a + N - 1``.
 
     Retrieval at the two nodes is independent given their holds, so each
-    entry is r_a * r_b from :func:`_wait_success`, the closed form's gap
-    terms: the node that heralded first waits the gap, its peer none.
+    entry is r_a * r_b from :func:`_wait_success`, as in the closed form:
+    the node that heralded first waits the gap, its peer none.
     """
     d = np.arange(params.n_write_max, dtype=float)
-    ra_wait, rb_wait = _wait_success(params, d)
+    ra_wait, rb_wait = _wait_success(params, _holds(params, 0, d)[0])
     return np.concatenate([ra_wait[0] * rb_wait[:0:-1], ra_wait * rb_wait[0]])
 
 

@@ -17,6 +17,7 @@ from heraldsync.photon_stats import FockDistribution, SourceParams
 from heraldsync.protocol import (
     _CHUNK_SIZE,
     _GRID_CELLS,
+    _GRID_SLOTS,
     _empty_trials,
     _four_fold_table,
     _heralds,
@@ -376,8 +377,8 @@ def test_grid_rows_bit_identical_across_block_boundaries(count, model):
 
 
 def test_grid_memory_is_bounded_by_the_block():
-    # 200 tau rows at the largest budget: the grid builds one of them at a
-    # time (gap terms, then their products), never all 200 at once
+    # 200 tau rows at the largest budget: the grid builds a few of them at a
+    # time (read successes, then their sums in place), never all 200 at once
     params = default_params()
     taus = np.linspace(1.0, 200.0, 200).tolist()
     n = N_WRITE_MAX_CAP
@@ -396,7 +397,7 @@ def test_grid_memory_is_bounded_by_the_block():
 
 def test_sweep_grid_memory_is_about_two_blocks():
     # the analytic sweep's shape, 41 tau and N up to 2000: one preallocated
-    # block of gap terms, written in place, and one product of it at a time
+    # block of read successes, written in place, and their sums in place
     params = default_params()
     taus = np.linspace(0.5, 60.0, 41).tolist()
     ns = tuple(int(n) for n in np.unique(np.round(np.geomspace(1, 2000, 70))))
@@ -408,6 +409,105 @@ def test_sweep_grid_memory_is_about_two_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * block_bytes < 1.3e6
+
+
+@pytest.mark.parametrize("p_a", [0.3, 0.9])
+def test_grid_matches_fsum_of_the_per_slot_terms(p_a):
+    # q**-k < 2**500 ends a block of node A's sums every 971 slots at p = 0.3
+    # and every 150 at 0.9; node B heralds late, so every slot up to 3000
+    # carries weight, and each sum A_j(L) is taken by math.fsum, unblocked
+    params = ProtocolParams(
+        source_a=SourceParams(gamma0=0.6, p_as=p_a),
+        source_b=SourceParams(gamma0=0.5, p_as=2.0e-3, eta_as=0.7),
+        tau_c_us=300.0,
+        latency_ns=400.0,
+    )
+    n = 3000
+    r = _wait_success(params, _holds(params, 0, np.arange(n, dtype=float))[0])
+    probs = params.source_a.herald_prob, params.source_b.herald_prob
+
+    def herald_by(j, skip_first):  # A_j(L), or A_j(L) - x_j(L) without wait 0
+        p, terms = probs[j], r[j].copy()
+        terms[0] *= not skip_first
+        weights = p * (1.0 - p) ** np.arange(n)  # p q**k for the herald k slots before L
+        weights = weights[weights >= 1e-300]  # the rest is below 1e-300 of a term
+        sums = []
+        for L in range(n):
+            waits = terms[L::-1][: weights.size]
+            sums.append(math.fsum((weights[: waits.size] * waits).tolist()))
+        return sums
+
+    at_a, before_b = herald_by(0, False), herald_by(1, True)
+    x_a, x_b = ([p * (1.0 - p) ** L * r[j][0] for L in range(n)] for j, p in enumerate(probs))
+    per_slot = [at_a[L] * x_b[L] + x_a[L] * before_b[L] for L in range(n)]
+    ns = [1, 150, 151, 300, 971, 972, 1943, 2999, 3000]
+    expected = [math.fsum(per_slot[:N]) for N in ns]
+    got = p4c_feedback_by_n(params, [300.0], ns)[0].tolist()
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_grid_carries_its_sums_across_steps():
+    # N = 9000 spans two steps of _GRID_SLOTS slots, and both nodes herald
+    # rarely enough that the slots past the boundary carry weight; the
+    # reference runs the recursions A_j(L) = q_j A_j(L - 1) + p_j r_j(L)
+    # slot by slot in long double
+    params = ProtocolParams(
+        source_a=SourceParams(gamma0=0.6, p_as=0.01),
+        source_b=SourceParams(gamma0=0.5, p_as=2.0e-4, eta_as=0.7),
+        tau_c_us=3000.0,
+    )
+    n = 9000
+    assert _GRID_SLOTS < n
+    ra, rb = _wait_success(params, _holds(params, 0, np.arange(n, dtype=float))[0])
+    pa, pb = (np.longdouble(s.herald_prob) for s in (params.source_a, params.source_b))
+    at_a = at_b = total = np.longdouble(0.0)
+    expected = []
+    for L in range(n):
+        at_a = (1 - pa) * at_a + pa * ra[L]
+        at_b = (1 - pb) * at_b + pb * rb[L]
+        x_a, x_b = pa * (1 - pa) ** L * ra[0], pb * (1 - pb) ** L * rb[0]
+        total += at_a * x_b + x_a * (at_b - x_b)
+        expected.append(float(total))
+    ns = [1, _GRID_SLOTS - 1, _GRID_SLOTS, _GRID_SLOTS + 1, n]
+    got = p4c_feedback_by_n(params, [3000.0], ns)[0].tolist()
+    assert got == pytest.approx([expected[N - 1] for N in ns], rel=1e-12)
+
+
+EXTREME_PROBS = [5e-324, 1e-17, 1.0 - 2.0**-53, 1.0]
+
+
+@given(
+    p_a=st.one_of(st.sampled_from(EXTREME_PROBS), st.floats(min_value=0.0, max_value=1.0)),
+    p_b=st.one_of(st.sampled_from(EXTREME_PROBS), st.floats(min_value=0.0, max_value=1.0)),
+    n=st.integers(min_value=1, max_value=600),
+    tau=st.floats(min_value=0.5, max_value=300.0),
+    latency_ns=st.floats(min_value=0.0, max_value=3000.0),
+    decay_model=st.sampled_from(list(DecayModel)),
+)
+@example(p_a=5e-324, p_b=0.9, n=600, tau=12.0, latency_ns=0.0, decay_model=DecayModel.GAUSSIAN_HALF)
+@example(p_a=1e-17, p_b=2e-3, n=12, tau=300.0, latency_ns=0.0, decay_model=DecayModel.EXPONENTIAL)
+@example(
+    p_a=1.0 - 2.0**-53, p_b=0.3, n=600, tau=40.0, latency_ns=700.0,
+    decay_model=DecayModel.GAUSSIAN_HALF,
+)
+@example(p_a=1.0, p_b=1e-17, n=7, tau=3.0, latency_ns=0.0, decay_model=DecayModel.EXPONENTIAL)
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_per_slot_terms_are_nonnegative(p_a, p_b, n, tau, latency_ns, decay_model):
+    # every P(later herald = L) >= 0, so p4c never falls as N grows and stays
+    # a probability, at the ends of p too: q == 1.0, subnormal p, q**-k
+    # that would overflow without sum blocks, and q = 0
+    params = ProtocolParams(
+        source_a=SourceParams(gamma0=0.6, p_as=p_a),
+        source_b=SourceParams(gamma0=0.45, p_as=p_b),
+        tau_c_us=tau,
+        latency_ns=latency_ns,
+        decay_model=decay_model,
+    )
+    grid = p4c_feedback_by_n(params, [tau], list(range(1, n + 1)))[0]
+    assert np.isfinite(grid).all() and grid[0] >= 0.0 and grid[-1] <= 1.0
+    assert (np.diff(grid) >= 0.0).all()
+    if n <= 12:
+        assert grid[-1] == pytest.approx(p4c_brute_force(replace(params, n_write_max=n)), rel=1e-12)
 
 
 def test_column_rejects_empty_budget():
@@ -859,7 +959,7 @@ def test_four_fold_table_is_the_closed_form_gap_terms(params):
     # gap, from the same helper, so equal to the last bit; weighted by the
     # attempt law it sums back to the closed form
     n = params.n_write_max
-    ra_wait, rb_wait = _wait_success(params, np.arange(n, dtype=float))
+    ra_wait, rb_wait = _wait_success(params, _holds(params, 0, np.arange(n, dtype=float))[0])
     table = _four_fold_table(params)
     assert table.shape == (2 * n - 1,)
     for g in range(-(n - 1), n):

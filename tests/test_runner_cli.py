@@ -177,7 +177,7 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
             RECORDS + "seed = 11\ntrials = 5000\nprotocol.tau_c_us = 8.0\n"
             "protocol.decay_model = exponential\n" + RECORD_SOURCES_DENSE,
             "6f31af2bfe08389f7a0265d5659d14b2e31edfc5fcef4fbf26f705f6edd48eb4",
-            "a9dd8969314112787cbcbd93797eaf661aabeaca008b35123364dddd87d50550",
+            "ac9653f2652f4b2adbf65e5cf348b4022bcd3dd0598cc28ac5c0bf763c1acc75",
             id="dense-dark-exponential",
         ),
         pytest.param(
@@ -186,7 +186,7 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
             "protocol.source_a.p_as = 0.1\nprotocol.source_b.p_as = 0.2\n"
             "protocol.source_a.gamma0 = 0.6\nprotocol.source_b.gamma0 = 0.6\n",
             "f574436f69a9de35c3efc677735cd14fced81f15a0d50a46851e9cbbe6cca8ea",
-            "b7241777c897fd2c1869fe6509706deec4bf1eb62f7fb27ca1bac02d8f6ff163",
+            "ecf961bf528794459ccc643d38e4456598edb0fe96f6a37bffc9d9148fa582cb",
             id="latency",
         ),
         pytest.param(
@@ -207,7 +207,7 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
             f"enhancement.n_write_max_list = {GRID_NS}\n"
             "protocol.latency_ns = 450.0\n" + GRID_SOURCES,
             "50d128cc3ca27829fea04b181d8ac36e19892e488d159a818572e8025726d2d4",
-            "cf5350a5865368c0120b9d0e05b736510833d6b927c9ab6d749547b09827a1dc",
+            "6366d040728dc86e28f9c61ff8a60eaf9450825194645375dab9dfad09033849",
             id="enhancement-grid-gaussian",
         ),
         pytest.param(
@@ -218,7 +218,7 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
             "protocol.decay_model = exponential\nprotocol.latency_ns = 1200.0\n"
             "protocol.dt_read_ns = 250.0\n" + GRID_SOURCES,
             "f8295e3c2719b9533f28631b85058d560269f18c2ba1d32f075a66ebdd85b55b",
-            "6dfbc53d973c6c0f7206eee0b92bf1791d188e68267da2ebfa4981441f0c9766",
+            "59194f6af9340c1b4396eca8366f2ffc1add75828f5f93f1fb20543014a0d1a4",
             id="enhancement-grid-exponential",
         ),
         pytest.param(
@@ -290,7 +290,7 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
             "protocol.source_a.gamma0 = 0.5\nprotocol.source_b.gamma0 = 0.5\n"
             "protocol.latency_ns = 300.0\n",
             None,
-            "b705372cfe4d49510f8ced99305230136c660b092c785f68d8e1d9bc3f99ec95",
+            "f0437956514a83fc0e34cf97dc04ece7d0b9161a9d43e165dffe8ea31bb1023b",
             id="protocol-sim-summary",
         ),
     ],
