@@ -52,7 +52,6 @@ __all__ = [
 
 _CHUNK_SIZE = 1 << 16  # rows per record block, and the fewest trials per substream
 _GRID_CELLS = 1 << 15  # tau x slot cells per block of the sweep grid, which bounds its memory
-_GRID_SLOTS = 1 << 13  # slots per step of the sweep grid at most, so a large N shares it among tau
 _SUM_EXPONENT = 500.0 * math.log(2.0)  # q**-k < 2**500 within one block of the closed form's sums
 #: Largest write budget N accepted (``protocol.n_write_max`` and every
 #: ``enhancement.n_write_max_list`` entry); the closed form allocates O(N) per call.
@@ -218,60 +217,53 @@ def p4c_feedback_by_n(params: ProtocolParams, taus, ns) -> np.ndarray:
 
     The read successes (:func:`_wait_success`) are written in place into
     one block of about ``_GRID_CELLS`` (tau, slot) cells and at least one
-    tau, one step of at most ``_GRID_SLOTS`` slots after the next, and
-    become the sums there.  A_j is a cumsum of r_j(L) q_j**-L rescaled by
-    q_j**L, in sum blocks short enough that q_j**-L stays below 2**500;
-    each block then adds the last one's sum carried by q_j**(k + 1), and
-    the cumsum over L carries from step to step.  Every boundary depends on
-    params alone and every operation is per tau row, so no entry depends
-    on the other tau or N.
+    tau row, each row spanning the N slots rounded up to whole sum blocks,
+    and become the sums there.  A_j is a cumsum of r_j(L) q_j**-L rescaled by
+    q_j**L, in sum blocks short enough that q_j**-L stays below 2**500.  A
+    log-step scan over the block ends carries each one into every later
+    end, and each block then adds the previous end carried by q_j**(k + 1).
+    Every boundary depends on params alone and every operation is per tau
+    row, so no entry depends on the other tau or N.
     """
     if min(ns) < 1:
         raise ValueError(f"every n_write_max must be >= 1, got {min(ns)}")
     probs = params.source_a.herald_prob, params.source_b.herald_prob
-    n_max = max(ns)
-    d = np.arange(n_max, dtype=float)
-    powers = np.subtract(1.0, probs)[:, None] ** d  # q_j**L
-    hold = _holds(params, 0, d)[0]
+    q = np.subtract(1.0, probs)
+    n_max = int(max(ns))
+    # slots per sum block, so that q**-k < 2**500 in one; a row spans N in whole blocks
+    bounds = (_SUM_EXPONENT / -math.log1p(-p) for p in probs if 0.0 < p < 1.0)
+    size = int(min([n_max, *bounds]))
+    blocks = -(-n_max // size)
+    powers = q[:, None] ** np.arange(blocks * size + 1.0)  # q_j**L
+    # the first N slots only: params keep holds finite up to N_WRITE_MAX_CAP slots, not past
+    hold = _holds(params, 0, np.arange(n_max, dtype=float))[0]
     # the nodes whose A_j needs the sum: at p = 1 (q = 0) it is p r_j(L) as it stands
     live = slice(probs[0] >= 1.0, 2 - (probs[1] >= 1.0))
-    # slots per sum block, so that q**-k < 2**500 in one, and per step, in whole blocks
-    bounds = (_SUM_EXPONENT / -math.log1p(-p) for p in probs if 0.0 < p < 1.0)
-    size = int(min(n_max, _GRID_SLOTS, *bounds))
-    width = size * min(_GRID_SLOTS // size, -(-n_max // size))
-    weights, reach = powers[live, None, None, :size], powers[live, None, 1 : size + 1]
-    rows = max(1, _GRID_CELLS // width)
-    block = np.empty((2, min(rows, len(taus)), width))  # every step's read successes, in turn
+    weights, reach = powers[live, None, None, :size], powers[live, None, None, 1 : size + 1]
+    rows = max(1, _GRID_CELLS // (blocks * size))
+    block = np.empty((2, min(rows, len(taus)), blocks * size))  # each row group's read successes
     cols = np.asarray(ns) - 1
     grid = np.empty((len(taus), len(ns)))
     for top in range(0, len(taus), rows):
         block_taus = taus[top : top + rows]
-        carry = np.zeros((3, len(block_taus), 1))  # A_a / p_a, (A_b - x_b) / p_b, the cumsum
-        for lo in range(0, n_max, width):
-            hi = min(lo + width, n_max)
-            blocks = -(-(hi - lo) // size)
-            cells = block[:, : len(block_taus), : blocks * size]
-            cells[..., hi - lo :] = 0.0  # the last step's tail, up to a whole block
-            sums = _wait_success(params, hold[lo:hi], block_taus, cells[..., : hi - lo])
-            if lo == 0:
-                x0 = sums[:, :, :1] * (probs[0] * probs[1])  # p_a p_b r_j(0)
-                sums[1, :, 0] = 0.0  # B's herald at L itself is x_b
-            filtered = cells[live].reshape(*cells[live].shape[:2], blocks, size)
-            filtered /= weights
-            np.add.accumulate(filtered, axis=-1, out=filtered)
-            filtered *= weights
-            for b in range(0 if lo else 1, blocks):  # each block from the last one's sum
-                filtered[:, :, b] += reach * (filtered[:, :, b - 1, -1:] if b else carry[live])
-            carry[:2] = sums[..., -1:]
-            sums *= powers[::-1, None, lo:hi]  # A_a x_b and x_a (A_b - x_b)
-            sums *= x0[::-1]
-            later = np.add(sums[0], sums[1], out=sums[0])
-            if lo:
-                later[:, :1] += carry[2]
-            np.add.accumulate(later, axis=1, out=later)
-            carry[2] = later[:, -1:]
-            here = (cols >= lo) & (cols < hi)
-            grid[top : top + len(block_taus), here] = later[:, cols[here] - lo]
+        cells = block[:, : len(block_taus)]
+        cells[..., n_max:] = 0.0  # the tail, up to a whole sum block
+        sums = _wait_success(params, hold, block_taus, cells[..., :n_max])
+        x0 = sums[:, :, :1] * (probs[0] * probs[1])  # p_a p_b r_j(0)
+        sums[1, :, 0] = 0.0  # B's herald at L itself is x_b
+        filtered = cells[live].reshape(*cells[live].shape[:2], blocks, size)
+        filtered /= weights
+        np.add.accumulate(filtered, axis=-1, out=filtered)
+        filtered *= weights
+        ends = filtered[..., -1].copy()  # each block's end, then with every earlier one carried
+        for s in (1 << k for k in range((blocks - 1).bit_length())):
+            ends[..., s:] += q[live, None, None] ** (s * size) * ends[..., :-s]
+        filtered[:, :, 1:] += reach * ends[..., :-1, None]
+        sums *= powers[::-1, None, :n_max]  # A_a x_b and x_a (A_b - x_b)
+        sums *= x0[::-1]
+        later = np.add(sums[0], sums[1], out=sums[0])
+        np.add.accumulate(later, axis=1, out=later)
+        grid[top : top + len(block_taus)] = later[:, cols]
     return grid
 
 

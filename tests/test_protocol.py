@@ -17,7 +17,6 @@ from heraldsync.photon_stats import FockDistribution, SourceParams
 from heraldsync.protocol import (
     _CHUNK_SIZE,
     _GRID_CELLS,
-    _GRID_SLOTS,
     _empty_trials,
     _four_fold_table,
     _heralds,
@@ -411,10 +410,11 @@ def test_sweep_grid_memory_is_about_two_blocks():
     assert peak < 2.5 * block_bytes < 1.3e6
 
 
-@pytest.mark.parametrize("p_a", [0.3, 0.9])
+@pytest.mark.parametrize("p_a", [0.3, 0.9, 1.0 - 1e-12])
 def test_grid_matches_fsum_of_the_per_slot_terms(p_a):
-    # q**-k < 2**500 ends a block of node A's sums every 971 slots at p = 0.3
-    # and every 150 at 0.9; node B heralds late, so every slot up to 3000
+    # q**-k < 2**500 ends a block of node A's sums every 971 slots at p = 0.3,
+    # every 150 at 0.9 and every 12 at 1 - 1e-12 (250 blocks, so the scan over
+    # their ends takes 8 passes); node B heralds late, so every slot up to 3000
     # carries weight, and each sum A_j(L) is taken by math.fsum, unblocked
     params = ProtocolParams(
         source_a=SourceParams(gamma0=0.6, p_as=p_a),
@@ -446,18 +446,17 @@ def test_grid_matches_fsum_of_the_per_slot_terms(p_a):
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_grid_carries_its_sums_across_steps():
-    # N = 9000 spans two steps of _GRID_SLOTS slots, and both nodes herald
-    # rarely enough that the slots past the boundary carry weight; the
-    # reference runs the recursions A_j(L) = q_j A_j(L - 1) + p_j r_j(L)
-    # slot by slot in long double
+def test_grid_carries_its_sums_across_sum_blocks():
+    # q**-k < 2**500 ends a block of node A's sums every 150 slots at p = 0.9,
+    # so N = 9000 spans 60 of them; node B heralds rarely enough that every
+    # slot carries weight; the reference runs the recursions
+    # A_j(L) = q_j A_j(L - 1) + p_j r_j(L) slot by slot in long double
     params = ProtocolParams(
-        source_a=SourceParams(gamma0=0.6, p_as=0.01),
+        source_a=SourceParams(gamma0=0.6, p_as=0.9),
         source_b=SourceParams(gamma0=0.5, p_as=2.0e-4, eta_as=0.7),
         tau_c_us=3000.0,
     )
     n = 9000
-    assert _GRID_SLOTS < n
     ra, rb = _wait_success(params, _holds(params, 0, np.arange(n, dtype=float))[0])
     pa, pb = (np.longdouble(s.herald_prob) for s in (params.source_a, params.source_b))
     at_a = at_b = total = np.longdouble(0.0)
@@ -468,7 +467,7 @@ def test_grid_carries_its_sums_across_steps():
         x_a, x_b = pa * (1 - pa) ** L * ra[0], pb * (1 - pb) ** L * rb[0]
         total += at_a * x_b + x_a * (at_b - x_b)
         expected.append(float(total))
-    ns = [1, _GRID_SLOTS - 1, _GRID_SLOTS, _GRID_SLOTS + 1, n]
+    ns = [1, 149, 150, 151, 300, 1200, 4800, n]  # block edges, and 1, 2, 8, 32 and 60 blocks
     got = p4c_feedback_by_n(params, [3000.0], ns)[0].tolist()
     assert got == pytest.approx([expected[N - 1] for N in ns], rel=1e-12)
 

@@ -748,6 +748,13 @@ def test_cli_rejects_widths_whose_square_underflows(tmp_path, capsys, scenario, 
         # the longest hold and the scan's span stay just below the float limit
         ("protocol_sim", "protocol.latency_ns = 8e307\ntrials = 1000"),
         ("enhancement", "protocol.dt_write_ns = 1.7e303\nenhancement.n_write_max_list = 100000"),
+        # the holds of N slots are finite; padded to whole sum blocks (499 slots
+        # at p = 0.5) they would not be
+        (
+            "enhancement",
+            "protocol.dt_write_ns = 1.7975e303\nprotocol.source_a.p_as = 0.5\n"
+            "enhancement.n_write_max_list = 100000",
+        ),
         ("hom_scan", "hom.half_range_ns = 8e307"),
         ("hom_scan", "hom.half_range_mhz = 8e307\nhom.domain = frequency"),
     ],
