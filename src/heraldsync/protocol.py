@@ -102,7 +102,8 @@ def memory_retrieval_efficiency(
             exponent = -t_us / tau_c_us
         else:
             raise ValueError(f"unknown decay model {model!r}")
-    out = np.exp(exponent)
+    # exp is 0 below -746, where np.exp takes its slow underflow path
+    out = np.exp(exponent, out=np.zeros(np.shape(exponent)), where=~(exponent < -746.0))
     out *= gamma0  # in place on an array
     return float(out) if out.ndim == 0 else out
 

@@ -7,6 +7,7 @@ are a pure function of the (config, seed) pair.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -70,16 +71,206 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(values, return_inverse=True)
 
 
-def _record_lines(block: np.ndarray) -> str:
-    """CSV lines of a block of trial records.
+_BLOCK_ROWS = 2048
+
+
+def _word(byte_values) -> int:
+    """The little-endian int64 of these bytes; a byte may be negative, to cancel one."""
+    return sum(value << 8 * k for k, value in enumerate(byte_values))
+
+
+@functools.cache
+def _digit_pairs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Int64 words of the two digits of each of 0..99, adjacent and one byte
+    apart, and of the leading zeros of a group in an int.
+
+    The last table is indexed by what the int comes to down to the group,
+    as a negative number clipped to -10..0: 0 cancels both digits, -9..-1
+    (which wrap to the end of the table) the first, and -10 neither.
+    """
+    digits = [(48 + r // 10, 48 + r % 10) for r in range(100)]
+    return (
+        np.array([_word(d) for d in digits]),
+        np.array([_word((d[0], 0, d[1])) for d in digits]),
+        np.array([_word((-48, -48)), 0] + [_word((-48,))] * 9),
+    )
+
+
+@functools.cache
+def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Powers 10**k (k < 14), digits shown per group, and fixed-notation templates.
+
+    A ten-digit mantissa shows ``shown[100 * k + group]`` digits when its
+    two-digit group k (first group first) is its last nonzero one.  Template
+    ``(e + 4) * 11 + n`` is the frame of exponent e with n digits shown, as
+    four int64 words: two NULs, a sign place, five places for the ``0.000``
+    prefix of e < 0, then the ten digit places 8, 10, .., 26, the point of
+    0 <= e < 9 between them.  A hidden digit place, a trailing zero after
+    the point, holds -48, which cancels the '0'.
+    """
+    powers = np.array([float(10**k) for k in range(14)])
+    shown = np.array([v and 2 * k + 1 + (v % 10 > 0) for k in range(5) for v in range(100)])
+    templates = []
+    for e in range(-4, 10):
+        for n in range(11):
+            row = [0] * 32
+            if e < 0:
+                row[3 : 4 - e] = b"0." + b"0" * (-e - 1)
+            for j in range(max(n, e + 1), 10):
+                row[8 + 2 * j] = -48
+            if 0 <= e and e + 1 < n:
+                row[9 + 2 * e] = 46
+            templates.append([_word(row[k : k + 8]) for k in range(0, 32, 8)])
+    return powers, shown, np.array(templates)
+
+
+def _float_frame(values: np.ndarray) -> np.ndarray:
+    """``'%.10g' % v`` of each float64 value, as rows of 25 NUL-padded bytes.
+
+    A cell of decimal exponent e in [-4, 9] whose ten-digit mantissa is more
+    than 1e-4 away from a rounding tie is written from that mantissa's
+    digits; every other cell (zeros, non-finite values, exponent notation,
+    near-ties) by ``'%.10g'`` itself.
+    """
+    powers, shown, templates = _float_tables()
+    _, spread, _ = _digit_pairs()
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-4) & (magnitude < 1e10)  # false for nan
+    magnitude[~fast] = 1.0
+    exponent = np.floor(np.log10(magnitude)).astype(np.intp).clip(-4, 9)
+    scaled = magnitude * powers[9 - exponent]
+    mantissa = np.rint(scaled)
+    fast &= (mantissa >= 1e9) & (mantissa < 1e10) & (np.abs(scaled - mantissa) < 0.4999)
+    mantissa[~fast] = 1e9
+    groups = np.empty((5, values.size), dtype=np.int64)
+    rest = mantissa.astype(np.int64)
+    for k in range(4, -1, -1):
+        higher = rest // 100
+        np.subtract(rest, higher * 100, out=groups[k])
+        rest = higher
+    template = (exponent + 4) * 11 + shown[groups + np.arange(0, 500, 100)[:, None]].max(axis=0)
+    words = np.take(templates, template, axis=0)
+    words[:, 0] += np.where(values < 0, 45 << 16, 0)
+    words[:, 1] += spread[groups[0]] + spread[groups[1]] * 2**32
+    words[:, 2] += spread[groups[2]] + spread[groups[3]] * 2**32
+    words[:, 3] += spread[groups[4]]
+    frame = words.view(np.uint8)[:, 2:27]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array(["%.10g" % v for v in values[slow].tolist()], dtype="S25")
+        frame.view("V25")[slow, 0] = text.view("V25")
+    return frame
+
+
+def _int_frame(values: np.ndarray) -> np.ndarray:
+    """``str(v)`` of each int64 value, as rows of NUL-padded bytes."""
+    adjacent, _, leading = _digit_pairs()
+    pairs = (len(str(max(-int(values.min()), int(values.max())))) + 1) // 2
+    # the two-digit groups of -|v|, which holds -2**63 too, last group first,
+    # and what the value comes to down to each group
+    upto = np.empty((pairs, values.size), dtype=np.int64)
+    groups = np.empty_like(upto)
+    rest = np.minimum(values, -values)
+    for k in range(pairs - 1, -1, -1):
+        upto[k] = rest
+        rest = (rest + 99) // 100  # a ceiling division, as rest <= 0
+        np.subtract(rest * 100, upto[k], out=groups[k])
+    # the last group keeps its last digit, 0 for the value 0
+    np.minimum(upto[-1], -1, out=upto[-1])
+    chars = adjacent[groups] + leading[np.maximum(upto, -10)]
+    # a NUL, a sign, then the groups: group k starts at byte 2 + 2k
+    chars *= 256 ** ((2 + 2 * np.arange(pairs)) % 8)[:, None]
+    words = np.empty((values.size, pairs // 4 + 1), dtype=np.int64)
+    for word in range(words.shape[1]):
+        words[:, word] = chars[max(4 * word - 1, 0) : 4 * word + 3].sum(axis=0)
+    if values.min() < 0:
+        words[:, 0] += np.where(values < 0, 45 << 8, 0)
+    return words.view(np.uint8)[:, 1 : 2 + 2 * pairs]
+
+
+def _cells(column) -> np.ndarray:
+    """A table column as float64, int64 or bytes cells.
+
+    A numpy float, int or bool column is taken as it is.  A list is typed
+    by its cells: all ints and bools as int64, all floats as float64, and
+    a mixed column, or ints beyond int64, as :func:`_fmt` text.  A column
+    that broadcasts one value, or a list of one object in every cell, is
+    formatted once.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind in "bif":
+        if column.size > 1 and column.strides == (0,):
+            return np.broadcast_to(np.array(_fmt(column[0]), dtype="S"), column.shape)
+        return column
+    column = list(column)
+    if column and all(v is column[0] for v in column):
+        return np.broadcast_to(np.array(_fmt(column[0]), dtype="S"), len(column))
+    ints = {issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, column))}
+    if ints == {False}:
+        return np.array(column, dtype=np.float64)
+    if ints == {True}:
+        try:
+            return np.array(column, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.array([_fmt(v) for v in column], dtype="S")
+
+
+def _frames(cells: list, rows: int) -> list:
+    """Each column's rows of NUL-padded bytes; one row for a broadcast text column.
+
+    The float columns go through :func:`_float_frame` in one call, and the
+    int and bool columns through :func:`_int_frame`.
+    """
+    frames = [None] * len(cells)
+    for kinds, dtype, kernel in (("f", np.float64, _float_frame), ("bi", np.int64, _int_frame)):
+        at = [k for k, column in enumerate(cells) if column.dtype.kind in kinds]
+        if at:
+            framed = kernel(np.concatenate([cells[k] for k in at], dtype=dtype))
+            for j, k in enumerate(at):
+                frames[k] = framed[j * rows : (j + 1) * rows]
+    for k, column in enumerate(cells):
+        if column.dtype.kind == "S":
+            text = column[:1] if column.strides == (0,) else column
+            frames[k] = np.ascontiguousarray(text).view(np.uint8).reshape(text.size, -1)
+    return frames
+
+
+def _lines(frames: list, rows: int) -> bytes:
+    """CSV lines of ``rows`` rows given by each column's frame.
+
+    The frames go into one byte array, each followed by a ``,`` or, after
+    the last, a newline, and one ``translate`` drops the NUL padding.
+    """
+    out = np.empty((rows, sum(frame.shape[1] + 1 for frame in frames)), dtype=np.uint8)
+    at = 0
+    for frame in frames:
+        width = frame.shape[1]
+        out[:, at : at + width].view(f"V{width}")[:, 0] = frame.view(f"V{width}")[:, 0]
+        out[:, at + width] = 44
+        at += width + 1
+    out[:, -1] = 10
+    return out.tobytes().translate(None, b"\0")
+
+
+def _table_blocks(columns: list):
+    """CSV lines of a generic table given by column, a block of rows at a time."""
+    cells = [_cells(column) for column in columns]
+    size = len(cells[0]) if cells else 0
+    for lo in range(0, size, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, size - lo)
+        yield _lines(_frames([column[lo : lo + rows] for column in cells], rows), rows)
+
+
+def _record_blocks(block: np.ndarray):
+    """CSV lines of a block of trial records, a block of rows at a time.
 
     Everything after the trial index is a function of (herald_a, herald_b,
     four_fold), since the hold times follow from the two heralds.  Each
     distinct suffix is formatted once, from any row with its key, and
-    indexed per row.
+    gathered per row.
     """
     if not block.size:
-        return ""
+        return
     # Ranking each herald column first keeps the joint key below
     # 2 * len(block)**2, whatever values the heralds take.
     _, rank_a = _distinct(block["herald_a"])
@@ -88,34 +279,16 @@ def _record_lines(block: np.ndarray) -> str:
     keys, inverse = _distinct(key)
     row = np.empty(keys.size, dtype=np.intp)
     row[inverse] = np.arange(block.size)
-    suffixes = np.array(
-        ["".join("," + _fmt(v) for v in record[1:]) + "\n" for record in block[row].tolist()],
-        dtype=object,
-    )
-    # _fmt writes ints, floats and bools, so no suffix holds a "%"
-    return ("%d" + "%d".join(suffixes[inverse].tolist())) % tuple(block["trial"].tolist())
-
-
-def _table_lines(columns: list) -> str:
-    """CSV lines of a generic table given by column, with one ``%``-format.
-
-    Int and bool columns take ``%d``, float columns ``%.10g`` (both equal to
-    :func:`_fmt`) and mixed ones per-cell ``_fmt``; a column holding one object
-    in every cell (the HOM plateau) is formatted once, into the line template.
-    """
-    size = len(columns[0]) if columns else 0
-    specs, varying = [], []
-    for column in columns:
-        if size and all(v is column[0] for v in column):
-            specs.append(_fmt(column[0]))
-            continue
-        ints = {issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, column))}
-        specs.append("%d" if ints == {True} else "%.10g" if ints == {False} else "%s")
-        varying.append([_fmt(v) for v in column] if specs[-1] == "%s" else column)
-    cells: list = [None] * (size * len(varying))
-    for k, column in enumerate(varying):
-        cells[k :: len(varying)] = column
-    return ((",".join(specs) + "\n") * size) % tuple(cells)
+    suffixes = [",".join(map(_fmt, record[1:])) for record in block[row].tolist()]
+    # as int64 words, so that the gather per row copies whole words
+    width = max(map(len, suffixes))
+    words = np.array(suffixes, dtype=f"S{-(-width // 8) * 8}").view(np.int64)
+    words = words.reshape(keys.size, -1)
+    trial = block["trial"]
+    for lo in range(0, block.size, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, block.size - lo)
+        suffix = np.take(words, inverse[lo : lo + rows], axis=0).view(np.uint8)[:, :width]
+        yield _lines([_int_frame(trial[lo : lo + rows]), suffix], rows)
 
 
 def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], tuple]:
@@ -126,7 +299,7 @@ def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], tuple]:
     if not (baselines.all() and baseline):
         raise ValueError("no-feedback coincidence probability is zero")
     grid = p4c_feedback_by_n(params, taus, ns) / baselines[:, None]
-    columns = [np.repeat(taus, len(ns)).tolist(), list(ns) * len(taus), grid.ravel().tolist()]
+    columns = [np.repeat(taus, len(ns)), np.tile(ns, len(taus)), grid.ravel()]
     # the derived ratio comes last, so that a non-finite input is named first
     feedback = p4c_feedback_closed_form(params)
     metrics = {
@@ -148,7 +321,7 @@ def _run_hom_scan(config: RunConfig) -> tuple[dict[str, Any], tuple]:
         hom.alpha1, hom.alpha2, hom.p_i1, hom.p_i2, hom.coherence_fwhm_ns, hom.domain, grid
     )
     dip = hom_coincidence(hom.alpha1, hom.alpha2, hom.p_i1, hom.p_i2, overlap=1.0)
-    columns = [grid.tolist(), coincidence.tolist(), [dip.c_plat] * grid.size]
+    columns = [grid, coincidence, np.broadcast_to(dip.c_plat, grid.shape)]
     metrics = {
         "visibility": dip.visibility,
         "c_plat": dip.c_plat,
@@ -245,9 +418,10 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     if table is None:
         return
     names, data = table
-    with (out_dir / TABLE_FILE).open("w", encoding="utf-8", newline="\n") as out:
-        out.write(",".join(names) + "\n")
+    with (out_dir / TABLE_FILE).open("wb") as out:
+        out.write((",".join(names) + "\n").encode())
         if isinstance(data, list):
-            out.write(_table_lines(data))
+            out.writelines(_table_blocks(data))
         else:
-            out.writelines(map(_record_lines, data))
+            for block in data:
+                out.writelines(_record_blocks(block))

@@ -133,6 +133,34 @@ def test_decay_extremes(model):
     assert memory_retrieval_efficiency(0.08, 1e300, model, 1e-150) == 0.0
 
 
+@pytest.mark.parametrize("model", list(DecayModel))
+def test_decay_bit_equal_to_plain_exp(model):
+    # exponents in range, subnormal (-708 to -745.2) and deep in underflow,
+    # where the result is set to 0 rather than computed
+    exponents = np.concatenate(
+        [np.linspace(-700.0, 0.0, 50), np.linspace(-745.2, -708.0, 200), [-745.13, -745.14],
+         np.linspace(-746.5, -745.2, 20), [-746.0, -800.0, -1e4, -1e300]]
+    )
+    tau_c_us = 3.7
+    if model is DecayModel.GAUSSIAN_HALF:
+        holds = np.sqrt(-2.0 * exponents) * tau_c_us * 1e3
+    else:
+        holds = -exponents * tau_c_us * 1e3
+    t_us = holds * 1e-3
+    with np.errstate(over="ignore"):
+        if model is DecayModel.GAUSSIAN_HALF:
+            plain = np.exp(-(t_us * t_us) / (2.0 * tau_c_us * tau_c_us))
+        else:
+            plain = np.exp(-t_us / tau_c_us)
+    assert (plain == 0).any() and ((plain > 0) & (plain < 1e-320)).any()
+    got = memory_retrieval_efficiency(1.0, holds, model, tau_c_us)
+    assert got.view(np.int64).tolist() == plain.view(np.int64).tolist()
+    for hold, expected in zip(holds.tolist(), plain.tolist()):
+        value = memory_retrieval_efficiency(1.0, hold, model, tau_c_us)
+        assert type(value) is float and math.copysign(1.0, value) == 1.0
+        assert value == expected
+
+
 def test_decay_bounded_by_gamma0():
     rng = np.random.default_rng(0)
     holds = rng.uniform(0.0, 1e5, size=100)

@@ -10,12 +10,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import heraldsync
 from heraldsync.cli import main
 from heraldsync.config import parse_config
 from heraldsync.protocol import N_WRITE_MAX_CAP, TRIAL_RECORD_DTYPE
-from heraldsync.runner import _distinct, _fmt, emit_outputs, run_scenario
+from heraldsync.runner import (
+    _distinct,
+    _float_frame,
+    _fmt,
+    _int_frame,
+    _lines,
+    emit_outputs,
+    run_scenario,
+)
 
 
 def run_text(text: str):
@@ -49,8 +59,9 @@ def test_enhancement_sweep_rows():
     )
     assert [len(column) for column in columns] == [6, 6, 6]
     # rows run over N within each tau; enhancement grows along both sweep axes
-    assert columns[0] == [6.0] * 3 + [12.0] * 3 and columns[1] == [4, 8, 12] * 2
-    by_key = {(tau, n): e for tau, n, e in zip(*columns)}
+    taus, ns, enhancement = (column.tolist() for column in columns)
+    assert taus == [6.0] * 3 + [12.0] * 3 and ns == [4, 8, 12] * 2
+    by_key = {(tau, n): e for tau, n, e in zip(taus, ns, enhancement)}
     assert by_key[(12.0, 12)] > by_key[(6.0, 12)] > by_key[(6.0, 4)]
 
 
@@ -471,6 +482,45 @@ def test_generic_table_of_one_row_matches_per_cell_formatting(tmp_path):
     columns = [[-0.0], [np.float64(1e300)], [2**63 - 1], [np.int64(-3)], [False], [math.inf]]
     names = tuple("abcdef")
     assert emitted_table(tmp_path, names, columns) == per_cell_table(names, columns)
+
+
+def framed_lines(frame) -> list:
+    return _lines([frame], len(frame)).decode().splitlines()
+
+
+# every float64: the full range, subnormals, signed zeros, nan and infinities,
+# plus the fixed-notation range, decimals, and decimals halfway between two
+# ten-digit values, where the digit frame is used or a near-tie turns it down
+FLOATS = st.one_of(
+    st.floats(),
+    st.floats(-1e11, 1e11),
+    st.integers(-(10**13), 10**13).map(lambda k: k / 1000),
+    st.builds(
+        lambda digits, exponent: float(f"{digits}5e{exponent - 10}"),
+        st.integers(10**9, 10**10 - 1),
+        st.integers(-5, 10),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(FLOATS, min_size=1, max_size=40))
+@example([12345678905.0])  # eleven digits: exponent notation
+@example([9999999999.5])  # rounds up to 1e+10
+@example([0.99999999995])  # a tie that rounds up into the next decade
+@example([1e-5])  # below the fixed range
+@example([1e-4])  # its first value
+@example([1e10])  # past its last value
+@example([5e-324])  # the least subnormal
+def test_float_frame_matches_percent_format(values):
+    assert framed_lines(_float_frame(np.array(values))) == ["%.10g" % v for v in values]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+@example([-(2**63), 2**63 - 1, 0, -1, 10**18, -(10**18) + 1])
+def test_int_frame_matches_str(values):
+    assert framed_lines(_int_frame(np.array(values, dtype=np.int64))) == [str(v) for v in values]
 
 
 def test_domain_error_carries_scenario_context():
