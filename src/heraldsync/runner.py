@@ -100,7 +100,7 @@ def _digit_pairs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Powers 10**k (k < 14), digits shown per group, and fixed-notation templates.
 
-    A ten-digit mantissa shows ``shown[100 * k + group]`` digits when its
+    A ten-digit mantissa shows ``shown[k, group]`` digits when its
     two-digit group k (first group first) is its last nonzero one.  Template
     ``(e + 4) * 11 + n`` is the frame of exponent e with n digits shown, as
     four int64 words: two NULs, a sign place, five places for the ``0.000``
@@ -109,7 +109,7 @@ def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the point, holds -48, which cancels the '0'.
     """
     powers = np.array([float(10**k) for k in range(14)])
-    shown = np.array([v and 2 * k + 1 + (v % 10 > 0) for k in range(5) for v in range(100)])
+    shown = np.array([[v and 2 * k + 1 + (v % 10 > 0) for v in range(100)] for k in range(5)])
     templates = []
     for e in range(-4, 10):
         for n in range(11):
@@ -142,13 +142,16 @@ def _float_frame(values: np.ndarray) -> np.ndarray:
     mantissa = np.rint(scaled)
     fast &= (mantissa >= 1e9) & (mantissa < 1e10) & (np.abs(scaled - mantissa) < 0.4999)
     mantissa[~fast] = 1e9
-    groups = np.empty((5, values.size), dtype=np.int64)
+    groups = []
     rest = mantissa.astype(np.int64)
-    for k in range(4, -1, -1):
+    for _ in range(5):
         higher = rest // 100
-        np.subtract(rest, higher * 100, out=groups[k])
+        groups.insert(0, rest - higher * 100)
         rest = higher
-    template = (exponent + 4) * 11 + shown[groups + np.arange(0, 500, 100)[:, None]].max(axis=0)
+    digits = shown[0][groups[0]]
+    for k in range(1, 5):
+        np.maximum(digits, shown[k][groups[k]], out=digits)
+    template = (exponent + 4) * 11 + digits
     words = np.take(templates, template, axis=0)
     words[:, 0] += np.where(values < 0, 45 << 16, 0)
     words[:, 1] += spread[groups[0]] + spread[groups[1]] * 2**32

@@ -505,9 +505,9 @@ FLOATS = st.one_of(
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(FLOATS, min_size=1, max_size=40))
-@example([12345678905.0])  # eleven digits: exponent notation
+@example([12345678905.0])  # an exact tie at eleven digits, in exponent notation
 @example([9999999999.5])  # rounds up to 1e+10
-@example([0.99999999995])  # a tie that rounds up into the next decade
+@example([0.99999999995])  # a near-tie just below the next decade
 @example([1e-5])  # below the fixed range
 @example([1e-4])  # its first value
 @example([1e10])  # past its last value
