@@ -102,8 +102,11 @@ def memory_retrieval_efficiency(
             exponent = -t_us / tau_c_us
         else:
             raise ValueError(f"unknown decay model {model!r}")
-    # exp is 0 below -746, where np.exp takes its slow underflow path
-    out = np.exp(exponent, out=np.zeros(np.shape(exponent)), where=~(exponent < -746.0))
+    if np.min(exponent) < -746.0:
+        # exp is 0 there, and np.exp would take its slow underflow path
+        out = np.exp(exponent, out=np.zeros(np.shape(exponent)), where=~(exponent < -746.0))
+    else:
+        out = np.exp(exponent)
     out *= gamma0  # in place on an array
     return float(out) if out.ndim == 0 else out
 
