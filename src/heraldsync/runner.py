@@ -148,10 +148,10 @@ def _float_frame(values: np.ndarray) -> np.ndarray:
         higher = rest // 100
         groups.insert(0, rest - higher * 100)
         rest = higher
-    digits = shown[0][groups[0]]
+    n_shown = shown[0][groups[0]]
     for k in range(1, 5):
-        np.maximum(digits, shown[k][groups[k]], out=digits)
-    template = (exponent + 4) * 11 + digits
+        np.maximum(n_shown, shown[k][groups[k]], out=n_shown)
+    template = (exponent + 4) * 11 + n_shown
     words = np.take(templates, template, axis=0)
     words[:, 0] += np.where(values < 0, 45 << 16, 0)
     words[:, 1] += spread[groups[0]] + spread[groups[1]] * 2**32
@@ -168,9 +168,10 @@ def _float_frame(values: np.ndarray) -> np.ndarray:
 def _int_frame(values: np.ndarray) -> np.ndarray:
     """``str(v)`` of each int64 value, as rows of NUL-padded bytes."""
     adjacent, _, leading = _digit_pairs()
-    pairs = (len(str(max(-int(values.min()), int(values.max())))) + 1) // 2
-    # the two-digit groups of -|v|, which holds -2**63 too, last group first,
-    # and what the value comes to down to each group
+    low = int(values.min())
+    pairs = (len(str(max(-low, int(values.max())))) + 1) // 2
+    # the two-digit groups of -|v|, which holds -2**63 too, computed last
+    # group first, and what the value comes to down to each group
     upto = np.empty((pairs, values.size), dtype=np.int64)
     groups = np.empty_like(upto)
     rest = np.minimum(values, -values)
@@ -186,7 +187,7 @@ def _int_frame(values: np.ndarray) -> np.ndarray:
     words = np.empty((values.size, pairs // 4 + 1), dtype=np.int64)
     for word in range(words.shape[1]):
         words[:, word] = chars[max(4 * word - 1, 0) : 4 * word + 3].sum(axis=0)
-    if values.min() < 0:
+    if low < 0:
         words[:, 0] += np.where(values < 0, 45 << 8, 0)
     return words.view(np.uint8)[:, 1 : 2 + 2 * pairs]
 
