@@ -166,6 +166,15 @@ def _holds(params: ProtocolParams, attempt_a, attempt_b) -> tuple:
     return tuple((later - i) * params.dt_write_ns + overhead for i in (attempt_a, attempt_b))
 
 
+def _record_holds(params: ProtocolParams, herald_a, herald_b) -> np.ndarray:
+    """Both hold times (ns) of trials with these heralds, -1 for none: from
+    :func:`_holds` where both nodes heralded, NaN elsewhere; shape (2, trials)."""
+    holds = np.full((2, herald_a.size), np.nan)
+    joint = (herald_a >= 0) & (herald_b >= 0)
+    holds[:, joint] = _holds(params, herald_a[joint], herald_b[joint])
+    return holds
+
+
 def _wait_success(params: ProtocolParams, hold_ns, taus=None, out=None) -> np.ndarray:
     """Each node's read success after holding for ``hold_ns``.
 
@@ -518,37 +527,58 @@ def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> Coinc
 @dataclass(frozen=True)
 class CampaignRecords:
     """Per-trial ``TRIAL_RECORD_DTYPE`` blocks of at most ``_CHUNK_SIZE`` rows,
-    the same blocks on every pass."""
+    the same blocks on every pass, expanded from each substream's heralded
+    trials (:meth:`heralded`)."""
 
     params: ProtocolParams
     n_trials: int
     seed: int
 
-    def __iter__(self) -> Iterator[np.ndarray]:
+    def heralded(self) -> Iterator[tuple]:
+        """Yield ``(lo, m, runs)`` per substream, trials lo to lo + m - 1.
+
+        ``runs`` holds the heralded trials only, as two runs of ``(trial,
+        herald_a, herald_b, four_fold)`` columns, each sorted by trial:
+        node A's heralds, with B's attempt and the four-fold where B
+        heralded too, then B's heralds on A's empty trials, the substream's
+        last draws.  A herald is an attempt index, -1 where the node did
+        not herald; every trial in neither run heralded on neither node.
+        """
         params = self.params
         p_b, n_max = params.source_b.herald_prob, params.n_write_max
         chunks = _campaign_chunks(params, self.n_trials, self.seed)
-        for lo, m, rng, (pos_a, att_a), in_a, attempts, four_fold in chunks:
-            joint = pos_a[in_a]
-            # B on A's empty trials: the substream's last draws
+        for lo, m, rng, (pos_a, att_a), in_a, (_, att_b), four_fold in chunks:
+            # the workspace's views are copied before the next substream is drawn
+            herald_b = np.full(pos_a.size, -1)
+            herald_b[in_a] = att_b
+            four_fold_a = np.zeros(pos_a.size, dtype=bool)
+            four_fold_a[in_a] = four_fold
             in_empty, att_e = _heralds(rng, p_b, n_max, m - pos_a.size)
-            pos_e = _empty_trials(pos_a, in_empty)
-            holds = _holds(params, *attempts)
-            for start in range(0, m, _CHUNK_SIZE):
-                rows = min(_CHUNK_SIZE, m - start)
-                a, j, e = (
-                    slice(*np.searchsorted(x, (start, start + rows))) for x in (pos_a, joint, pos_e)
-                )
-                block = np.zeros(rows, TRIAL_RECORD_DTYPE)
+            trial_e = _empty_trials(pos_a, in_empty) + lo
+            yield lo, m, (
+                (pos_a + lo, att_a.copy(), herald_b, four_fold_a),
+                (trial_e, np.full(att_e.size, -1), att_e, np.zeros(att_e.size, dtype=bool)),
+            )
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for lo, m, runs in self.heralded():
+            heralded = []
+            for trial, herald_a, herald_b, four_fold in runs:
+                rows = np.empty(trial.size, TRIAL_RECORD_DTYPE)
+                rows["trial"], rows["herald_a"], rows["herald_b"] = trial, herald_a, herald_b
+                holds = _record_holds(self.params, herald_a, herald_b)
+                rows["hold_a_ns"], rows["hold_b_ns"] = holds
+                rows["four_fold"] = four_fold
+                heralded.append(rows)
+            for start in range(lo, lo + m, _CHUNK_SIZE):
+                stop = min(start + _CHUNK_SIZE, lo + m)
+                block = np.zeros(stop - start, TRIAL_RECORD_DTYPE)
+                block["trial"] = np.arange(start, stop)
                 block["herald_a"] = block["herald_b"] = -1
                 block["hold_a_ns"] = block["hold_b_ns"] = np.nan
-                block["trial"] = np.arange(lo + start, lo + start + rows)
-                block["herald_a"][pos_a[a] - start] = att_a[a]
-                block["herald_b"][pos_e[e] - start] = att_e[e]
-                here = joint[j] - start
-                block["herald_b"][here] = attempts[1][j]
-                block["hold_a_ns"][here], block["hold_b_ns"][here] = holds[0][j], holds[1][j]
-                block["four_fold"][here] = four_fold[j]
+                for rows in heralded:
+                    here = rows[slice(*np.searchsorted(rows["trial"], (start, stop)))]
+                    block[here["trial"] - start] = here
                 yield block
 
 

@@ -29,6 +29,7 @@ from .interference import (
 from .protocol import (
     TRIAL_RECORD_DTYPE,
     CampaignRecords,
+    _record_holds,
     enhancement_factor,  # unused; the layer trace wraps it in this namespace
     p4c_feedback_by_n,
     p4c_feedback_closed_form,
@@ -265,34 +266,48 @@ def _table_blocks(columns: list):
         yield _lines(_frames([column[lo : lo + rows] for column in cells], rows), rows)
 
 
-def _record_blocks(block: np.ndarray):
-    """CSV lines of a block of trial records, a block of rows at a time.
+def _record_blocks(params, lo: int, m: int, runs):
+    """CSV lines of the trial records lo to lo + m - 1, a block of rows at a time.
 
-    Everything after the trial index is a function of (herald_a, herald_b,
-    four_fold), since the hold times follow from the two heralds.  Each
-    distinct suffix is formatted once, from any row with its key, and
-    gathered per row.
+    ``runs`` holds the heralded trials among them, as runs of ``(trial,
+    herald_a, herald_b, four_fold)`` columns, each sorted by trial, as
+    :meth:`CampaignRecords.heralded` gives them; every other trial heralded
+    on neither node.  Everything after the trial index is a function of
+    (herald_a, herald_b, four_fold), since the hold times follow from the
+    two heralds (:func:`_record_holds`).  Each distinct suffix, the
+    unheralded one included, is formatted once; a block starts every row
+    at the unheralded suffix and puts each heralded row's own in its place.
     """
-    if not block.size:
-        return
+    # the heralded rows, then one unheralded row
+    trials, *columns = zip(*runs)
+    herald_a, herald_b, four_fold = (
+        np.concatenate([*column, [fill]]) for column, fill in zip(columns, (-1, -1, False))
+    )
     # Ranking each herald column first keeps the joint key below
-    # 2 * len(block)**2, whatever values the heralds take.
-    _, rank_a = _distinct(block["herald_a"])
-    values_b, rank_b = _distinct(block["herald_b"])
-    key = (rank_a * values_b.size + rank_b) * 2 + block["four_fold"]
-    keys, inverse = _distinct(key)
+    # 2 * len(key)**2, whatever values the heralds take.
+    _, rank_a = _distinct(herald_a)
+    values_b, rank_b = _distinct(herald_b)
+    keys, inverse = _distinct((rank_a * values_b.size + rank_b) * 2 + four_fold)
     row = np.empty(keys.size, dtype=np.intp)
-    row[inverse] = np.arange(block.size)
-    suffixes = [",".join(map(_fmt, record[1:])) for record in block[row].tolist()]
+    row[inverse] = np.arange(inverse.size)
+    a, b = herald_a[row], herald_b[row]
+    holds = _record_holds(params, a, b).tolist()
+    cells = zip(a.tolist(), b.tolist(), *holds, four_fold[row].tolist())
+    suffixes = [",".join(map(_fmt, cell)) for cell in cells]
     # as int64 words, so that the gather per row copies whole words
     width = max(map(len, suffixes))
     words = np.array(suffixes, dtype=f"S{-(-width // 8) * 8}").view(np.int64)
     words = words.reshape(keys.size, -1)
-    trial = block["trial"]
-    for lo in range(0, block.size, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, block.size - lo)
-        suffix = np.take(words, inverse[lo : lo + rows], axis=0).view(np.uint8)[:, :width]
-        yield _lines([_int_frame(trial[lo : lo + rows]), suffix], rows)
+    for start in range(lo, lo + m, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, lo + m)
+        index = np.full(stop - start, inverse[-1])
+        first = 0  # the run's first row in inverse
+        for trial in trials:
+            i, j = np.searchsorted(trial, (start, stop)).tolist()
+            index[trial[i:j] - start] = inverse[first + i : first + j]
+            first += trial.size
+        suffix = np.take(words, index, axis=0).view(np.uint8)[:, :width]
+        yield _lines([_int_frame(np.arange(start, stop)), suffix], stop - start)
 
 
 def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], tuple]:
@@ -377,10 +392,9 @@ def _run_protocol_sim(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
 def run_scenario(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
     """Run the configured scenario: its summary.json document and its table.
 
-    The table is None or ``(names, data)``, the data a list of columns or
-    any other iterable of trial record blocks (``TRIAL_RECORD_DTYPE``, hold
-    times following from the heralds as in :class:`CampaignRecords`).  A
-    non-finite metric raises, except an infinite ``n_sigma`` (an exact S
+    The table is None or ``(names, data)``, the data a list of columns or,
+    for the trial records, a :class:`CampaignRecords`.  A non-finite metric
+    raises, except an infinite ``n_sigma`` (an exact S
     away from 2), which the document carries as the string ``"inf"`` or
     ``"-inf"``.
     """
@@ -413,7 +427,9 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     """Write summary.json (and table.csv when present) under ``path``.
 
     LF newlines; floats carry at least six significant digits.  Tables are
-    formatted by column, a trial record table one block at a time.
+    formatted by column, a block of rows at a time; a
+    :class:`CampaignRecords` table is written one substream at a time from
+    its heralded trials (:func:`_record_blocks`), never as record blocks.
     """
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -424,8 +440,8 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     names, data = table
     with (out_dir / TABLE_FILE).open("wb") as out:
         out.write((",".join(names) + "\n").encode())
-        if isinstance(data, list):
-            out.writelines(_table_blocks(data))
+        if isinstance(data, CampaignRecords):
+            for lo, m, runs in data.heralded():
+                out.writelines(_record_blocks(data.params, lo, m, runs))
         else:
-            for block in data:
-                out.writelines(_record_blocks(block))
+            out.writelines(_table_blocks(data))
