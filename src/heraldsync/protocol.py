@@ -562,21 +562,21 @@ class CampaignRecords:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         for lo, m, runs in self.heralded():
-            heralded = []
+            records = []  # each run's rows as records
             for trial, herald_a, herald_b, four_fold in runs:
                 rows = np.empty(trial.size, TRIAL_RECORD_DTYPE)
                 rows["trial"], rows["herald_a"], rows["herald_b"] = trial, herald_a, herald_b
                 holds = _record_holds(self.params, herald_a, herald_b)
                 rows["hold_a_ns"], rows["hold_b_ns"] = holds
                 rows["four_fold"] = four_fold
-                heralded.append(rows)
+                records.append(rows)
             for start in range(lo, lo + m, _CHUNK_SIZE):
                 stop = min(start + _CHUNK_SIZE, lo + m)
                 block = np.zeros(stop - start, TRIAL_RECORD_DTYPE)
                 block["trial"] = np.arange(start, stop)
                 block["herald_a"] = block["herald_b"] = -1
                 block["hold_a_ns"] = block["hold_b_ns"] = np.nan
-                for rows in heralded:
+                for rows in records:
                     here = rows[slice(*np.searchsorted(rows["trial"], (start, stop)))]
                     block[here["trial"] - start] = here
                 yield block
