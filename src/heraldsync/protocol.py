@@ -50,7 +50,6 @@ __all__ = [
     "TRIAL_RECORD_DTYPE",
 ]
 
-_CHUNK_SIZE = 1 << 16  # rows per record block, and the fewest trials per substream
 _GRID_CELLS = 1 << 15  # tau x slot cells per block of the sweep grid, which bounds its memory
 _SUM_EXPONENT = 500.0 * math.log(2.0)  # q**-k < 2**500 within one block of the closed form's sums
 #: Largest write budget N accepted (``protocol.n_write_max`` and every
@@ -232,11 +231,20 @@ def p4c_feedback_by_n(params: ProtocolParams, taus, ns) -> np.ndarray:
     one block of about ``_GRID_CELLS`` (tau, slot) cells and at least one
     tau row, each row spanning the N slots rounded up to whole sum blocks,
     and become the sums there.  A_j is a cumsum of r_j(L) q_j**-L rescaled by
-    q_j**L, in sum blocks short enough that q_j**-L stays below 2**500.  A
-    log-step scan over the block ends carries each one into every later
-    end, and each block then adds the previous end carried by q_j**(k + 1).
-    Every boundary depends on params alone and every operation is per tau
-    row, so no entry depends on the other tau or N.
+    q_j**L, in sum blocks short enough that q_j**-L stays below 2**500.  One
+    pass carries each block's end into the next by q_j**size, and each block
+    then adds the previous end carried by q_j**(k + 1).  Every boundary
+    depends on params alone and every operation is per tau row, so no entry
+    depends on the other tau or N.
+
+    One pass is exact up to rounding.  The likelier node h with p_h < 1 sets
+    ``size``, so Q = q_h**size is below 2**-447 (about 2**-500 unless q_h is
+    tiny).  A_h misses only the ends two or more blocks back, carried by Q**2
+    or less.  The other node's A_j misses them outright from the fourth block
+    on, but enters P(L) only times x_h(L) = p_h q_h**L r_h(0), below Q**3
+    x_h(0) there.  Since A_j(L) <= (L + 1) p_j r_j(0) on either node, all that
+    is missed stays below 2 N**2 Q**2 of P(0) = x_a(0) x_b(0) <= p4c(N):
+    under 2**-850 for every N up to the cap.
     """
     if min(ns) < 1:
         raise ValueError(f"every n_write_max must be >= 1, got {min(ns)}")
@@ -268,9 +276,8 @@ def p4c_feedback_by_n(params: ProtocolParams, taus, ns) -> np.ndarray:
         filtered /= weights
         np.add.accumulate(filtered, axis=-1, out=filtered)
         filtered *= weights
-        ends = filtered[..., -1].copy()  # each block's end, then with every earlier one carried
-        for s in (1 << k for k in range((blocks - 1).bit_length())):
-            ends[..., s:] += q[live, None, None] ** (s * size) * ends[..., :-s]
+        ends = filtered[..., -1].copy()  # each block's end, then with the one before carried
+        ends[..., 1:] += q[live, None, None] ** size * ends[..., :-1]
         filtered[:, :, 1:] += reach * ends[..., :-1, None]
         sums *= powers[::-1, None, :n_max]  # A_a x_b and x_a (A_b - x_b)
         sums *= x0[::-1]
@@ -464,12 +471,12 @@ def _workspace(*fields) -> list:
 
 
 def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterator[tuple]:
-    """Yield ``(offset, size, rng, heralds_a, in_a, attempts, four_fold)`` per substream.
+    """Yield ``(offset, size, rng, heralds_a, in_a, att_b, four_fold)`` per substream.
 
     Substream c covers :func:`_substream_trials` trials from c times that
     and draws from the generator (seed, c): node A's ``(positions,
     attempts)``, then node B's over A's heralded trials, whose indices
-    ``in_a`` are the joint trials, and both nodes' ``attempts`` there, then
+    ``in_a`` are the joint trials, and B's attempts ``att_b`` there, then
     one uniform per joint trial against :func:`_four_fold_table` at its
     signed gap.  ``rng`` is handed on: B's heralds on A's empty trials,
     which no count needs, come next.
@@ -509,7 +516,7 @@ def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterat
         np.add(np.subtract(att_b, joint_a, out=gap), n_max - 1, out=gap)
         np.take(table, gap, out=table_at, mode="clip")
         np.less(rng.random(out=uniforms), table_at, out=four_fold)
-        yield c * size, m, rng, (pos_a, att_a), in_a, (joint_a, att_b), four_fold
+        yield c * size, m, rng, (pos_a, att_a), in_a, att_b, four_fold
 
 
 def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> CoincidenceStats:
@@ -526,9 +533,9 @@ def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> Coinc
 
 @dataclass(frozen=True)
 class CampaignRecords:
-    """Per-trial ``TRIAL_RECORD_DTYPE`` blocks of at most ``_CHUNK_SIZE`` rows,
-    the same blocks on every pass, expanded from each substream's heralded
-    trials (:meth:`heralded`)."""
+    """A campaign's trial records, drawn again on every pass: :meth:`heralded`
+    yields each substream's heralded trials, and
+    :func:`simulate_campaign_records` expands them into one row per trial."""
 
     params: ProtocolParams
     n_trials: int
@@ -544,10 +551,9 @@ class CampaignRecords:
         last draws.  A herald is an attempt index, -1 where the node did
         not herald; every trial in neither run heralded on neither node.
         """
-        params = self.params
-        p_b, n_max = params.source_b.herald_prob, params.n_write_max
-        chunks = _campaign_chunks(params, self.n_trials, self.seed)
-        for lo, m, rng, (pos_a, att_a), in_a, (_, att_b), four_fold in chunks:
+        p_b, n_max = self.params.source_b.herald_prob, self.params.n_write_max
+        chunks = _campaign_chunks(self.params, self.n_trials, self.seed)
+        for lo, m, rng, (pos_a, att_a), in_a, att_b, four_fold in chunks:
             # the workspace's views are copied before the next substream is drawn
             herald_b = np.full(pos_a.size, -1)
             herald_b[in_a] = att_b
@@ -560,33 +566,24 @@ class CampaignRecords:
                 (trial_e, np.full(att_e.size, -1), att_e, np.zeros(att_e.size, dtype=bool)),
             )
 
-    def __iter__(self) -> Iterator[np.ndarray]:
-        for lo, m, runs in self.heralded():
-            records = []  # each run's rows as records
-            for trial, herald_a, herald_b, four_fold in runs:
-                rows = np.empty(trial.size, TRIAL_RECORD_DTYPE)
-                rows["trial"], rows["herald_a"], rows["herald_b"] = trial, herald_a, herald_b
-                holds = _record_holds(self.params, herald_a, herald_b)
-                rows["hold_a_ns"], rows["hold_b_ns"] = holds
-                rows["four_fold"] = four_fold
-                records.append(rows)
-            for start in range(lo, lo + m, _CHUNK_SIZE):
-                stop = min(start + _CHUNK_SIZE, lo + m)
-                block = np.zeros(stop - start, TRIAL_RECORD_DTYPE)
-                block["trial"] = np.arange(start, stop)
-                block["herald_a"] = block["herald_b"] = -1
-                block["hold_a_ns"] = block["hold_b_ns"] = np.nan
-                for rows in records:
-                    here = rows[slice(*np.searchsorted(rows["trial"], (start, stop)))]
-                    block[here["trial"] - start] = here
-                yield block
-
 
 def simulate_campaign_records(
     params: ProtocolParams, n_trials: int, seed: int
 ) -> tuple[CoincidenceStats, np.ndarray]:
-    """Like :func:`simulate_campaign`, plus the :class:`CampaignRecords` blocks joined."""
-    records = np.concatenate([*CampaignRecords(params, n_trials, seed)])
+    """Like :func:`simulate_campaign`, plus one ``TRIAL_RECORD_DTYPE`` row per
+    trial, expanded from :meth:`CampaignRecords.heralded`: a node that did
+    not herald reads -1, and a trial where either did not has NaN holds."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    records = np.zeros(n_trials, TRIAL_RECORD_DTYPE)
+    records["trial"] = np.arange(n_trials)
+    records["herald_a"] = records["herald_b"] = -1
+    for _, _, runs in CampaignRecords(params, n_trials, seed).heralded():
+        for trial, *columns in runs:
+            for name, column in zip(("herald_a", "herald_b", "four_fold"), columns):
+                records[name][trial] = column
+    holds = _record_holds(params, records["herald_a"], records["herald_b"])
+    records["hold_a_ns"], records["hold_b_ns"] = holds
     return CoincidenceStats.from_counts(n_trials, int(records["four_fold"].sum())), records
 
 

@@ -393,7 +393,8 @@ def run_scenario(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
     """Run the configured scenario: its summary.json document and its table.
 
     The table is None or ``(names, data)``, the data a list of columns or,
-    for the trial records, a :class:`CampaignRecords`.  A non-finite metric
+    for the trial records, a :class:`CampaignRecords`, which draws the
+    campaign again each time it is read.  A non-finite metric
     raises, except an infinite ``n_sigma`` (an exact S
     away from 2), which the document carries as the string ``"inf"`` or
     ``"-inf"``.
@@ -429,7 +430,7 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     LF newlines; floats carry at least six significant digits.  Tables are
     formatted by column, a block of rows at a time; a
     :class:`CampaignRecords` table is written one substream at a time from
-    its heralded trials (:func:`_record_blocks`), never as record blocks.
+    its heralded trials (:func:`_record_blocks`), with no per-trial record.
     """
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 """Tests for the synchronization protocol: closed forms and simulator."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -15,7 +16,6 @@ from scipy import stats as sps
 from heraldsync.config import N_WRITE_MAX_CAP
 from heraldsync.photon_stats import FockDistribution, SourceParams
 from heraldsync.protocol import (
-    _CHUNK_SIZE,
     _GRID_CELLS,
     _empty_trials,
     _four_fold_table,
@@ -38,6 +38,8 @@ from heraldsync.protocol import (
     simulate_campaign,
     simulate_campaign_records,
 )
+
+SUBSTREAM_MIN = 1 << 16  # the fewest trials per substream
 
 # ---------------------------------------------------------------------------
 # independent oracle: full joint enumeration over herald-attempt pairs
@@ -441,8 +443,8 @@ def test_sweep_grid_memory_is_about_two_blocks():
 @pytest.mark.parametrize("p_a", [0.3, 0.9, 1.0 - 1e-12])
 def test_grid_matches_fsum_of_the_per_slot_terms(p_a):
     # q**-k < 2**500 ends a block of node A's sums every 971 slots at p = 0.3,
-    # every 150 at 0.9 and every 12 at 1 - 1e-12 (250 blocks, so the scan over
-    # their ends takes 8 passes); node B heralds late, so every slot up to 3000
+    # every 150 at 0.9 and every 12 at 1 - 1e-12 (250 blocks, each carrying
+    # only the end before it); node B heralds late, so every slot up to 3000
     # carries weight, and each sum A_j(L) is taken by math.fsum, unblocked
     params = ProtocolParams(
         source_a=SourceParams(gamma0=0.6, p_as=p_a),
@@ -498,6 +500,29 @@ def test_grid_carries_its_sums_across_sum_blocks():
     ns = [1, 149, 150, 151, 300, 1200, 4800, n]  # block edges, and 1, 2, 8, 32 and 60 blocks
     got = p4c_feedback_by_n(params, [3000.0], ns)[0].tolist()
     assert got == pytest.approx([expected[N - 1] for N in ns], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p_a,p_b,ns,expected",
+    [
+        pytest.param(
+            0.5, 1e-3, (500, 2500, 5000),
+            (0.2519174752888358, 0.5875312716107911, 0.6356984883453272),
+            id="half",
+        ),
+        pytest.param(
+            0.9, 1e-4, (2000, 10000, 20000),
+            (0.11601755823001403, 0.4045689302796563, 0.5533940803178521),
+            id="nine-tenths",
+        ),
+    ],
+)
+def test_grid_across_many_sum_blocks_pinned(p_a, p_b, ns, expected):
+    # node A sets the sum blocks (every 500 slots at p = 0.5, 150 at 0.9),
+    # so up to 134 of them; node B, heralding rarely, carries weight in all
+    # of them; the values are pinned to the last bit
+    params = make_params(p_a=p_a, p_b=p_b, gamma0=0.8, tau_c_us=1e9)
+    assert p4c_feedback_by_n(params, [1e9], ns)[0].tolist() == list(expected)
 
 
 EXTREME_PROBS = [5e-324, 1e-17, 1.0 - 2.0**-53, 1.0]
@@ -595,11 +620,11 @@ def test_dead_source_never_coincides_in_any_layer(dead, dead_source, latency_ns,
         dead_source.heralded_shape()
     assert p4c_no_feedback(params) == 0.0
     assert p4c_feedback_by_n(params, (12.0, 3.0), (1, 3, 5)).tolist() == [[0.0] * 3] * 2
-    n_trials = _CHUNK_SIZE + 100
+    n_trials = SUBSTREAM_MIN + 100
     assert simulate_campaign(params, n_trials, seed=2).four_fold_count == 0
-    blocks = list(CampaignRecords(params, n_trials, seed=2))
-    assert sum(block.size for block in blocks) == n_trials
-    assert not any(block["four_fold"].any() for block in blocks)
+    stats, records = simulate_campaign_records(params, n_trials, seed=2)
+    check_records(params, stats, records, n_trials)
+    assert not records["four_fold"].any()
 
 
 def test_trial_deterministic_for_seed():
@@ -651,8 +676,10 @@ def test_campaign_single_certain_trial():
 
 
 def test_campaign_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        simulate_campaign(default_params(), 0, seed=0)
+    for run in (simulate_campaign, simulate_campaign_records):
+        for n_trials in (0, -5):
+            with pytest.raises(ValueError, match=f"n_trials must be >= 1, got {n_trials}"):
+                run(default_params(), n_trials, seed=0)
 
 
 def test_campaign_deterministic():
@@ -705,36 +732,63 @@ def test_campaign_records_consistent():
         pytest.param(make_params(p_a=0.3, p_b=0.05, n_write_max=1), id="n1"),
     ],
 )
-def test_record_blocks_mark_where_a_node_did_not_herald(params):
-    # in every block, a node that did not herald reads -1, and its trial
-    # has NaN for both holds and no four-fold
-    blocks = list(CampaignRecords(params, _CHUNK_SIZE + 4464, seed=9))
-    assert [block.size for block in blocks] == [_CHUNK_SIZE, 4464]
-    for block in blocks:
-        missing = check_block_marks(block)
+def test_records_mark_where_a_node_did_not_herald(params):
+    # in each of the two substreams, a node that did not herald reads -1,
+    # and its trial has NaN for both holds and no four-fold
+    _, records = simulate_campaign_records(params, SUBSTREAM_MIN + 4464, seed=9)
+    assert _substream_trials(params) == SUBSTREAM_MIN
+    for substream in np.split(records, [SUBSTREAM_MIN]):
+        missing = check_record_marks(substream)
         assert missing.any() and not missing.all()
 
 
-def check_block_marks(block):
+def check_record_marks(records):
     """A node that did not herald reads -1, and its trial has NaN for both
     holds and no four-fold; returns where a node did not herald."""
     for column in ("herald_a", "herald_b"):
-        assert np.all(block[column][block[column] < 0] == -1)
-    missing = (block["herald_a"] == -1) | (block["herald_b"] == -1)
+        assert np.all(records[column][records[column] < 0] == -1)
+    missing = (records["herald_a"] == -1) | (records["herald_b"] == -1)
     for column in ("hold_a_ns", "hold_b_ns"):
-        assert np.array_equal(np.isnan(block[column]), missing)
-    assert not block["four_fold"][missing].any()
+        assert np.array_equal(np.isnan(records[column]), missing)
+    assert not records["four_fold"][missing].any()
     return missing
 
 
 # three full chunks and a partial one
-HERALD_TRIALS = 3 * _CHUNK_SIZE + 1234
+HERALD_TRIALS = 3 * SUBSTREAM_MIN + 1234
 
 DENSE_DARK = ProtocolParams(
     source_a=SourceParams(gamma0=0.5, p_as=0.2, eta_as=0.5, dark_click_prob=1e-3),
     source_b=SourceParams(gamma0=0.45, p_as=0.25, eta_as=0.6, dark_click_prob=2e-3),
     tau_c_us=8.0,
 )
+
+
+@pytest.mark.parametrize(
+    "params,n_trials,seed,sha256,four_folds",
+    [
+        pytest.param(
+            default_params(), 300_000, 31,
+            "345ef91826cdd19d1268ac9c4c559ff83c80da639a637e05e091553ff8920b31", 1,
+            id="sparse-two-substreams",
+        ),
+        pytest.param(
+            replace(DENSE_DARK, tau_c_us=12.0, latency_ns=1500.0), 200_000, 4,
+            "9247be0a315276726ede61423c6c9a50bf1ee6759eb0a8e908baf684ef42122a", 49_444,
+            id="dense-latency",
+        ),
+        pytest.param(
+            make_params(p_a=1.0, p_b=0.0, gamma0=0.6, n_write_max=5), 70_000, 2,
+            "c3aa34ecdc1f66f97ed1abfee0a4ecbc81348e74af81cffa96ddcbd34638fbb6", 0,
+            id="certain-and-never",
+        ),
+    ],
+)
+def test_campaign_records_pinned(params, n_trials, seed, sha256, four_folds):
+    # the record array, byte for byte, on fixed seeds
+    stats, records = simulate_campaign_records(params, n_trials, seed)
+    assert hashlib.sha256(records.tobytes()).hexdigest() == sha256
+    assert stats.four_fold_count == four_folds
 
 
 def herald_within(p: float, n_max: int) -> float:
@@ -819,13 +873,13 @@ def test_tiny_herald_probabilities_never_herald_and_never_warn(p):
     # without the cap
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for m in (1, 3, _CHUNK_SIZE):
+        for m in (1, 3, SUBSTREAM_MIN):
             positions, attempts = _heralds(np.random.default_rng(5), p, 12, m)
             assert positions.size == attempts.size == 0
         for pair, tiny in (((p, 0.3), "herald_a"), ((0.3, p), "herald_b"), ((p, p), "herald_a")):
             params = make_params(p_a=pair[0], p_b=pair[1])
             assert simulate_campaign(params, HERALD_TRIALS, seed=6).four_fold_count == 0
-            records = np.concatenate([*CampaignRecords(params, HERALD_TRIALS, seed=6)])
+            records = simulate_campaign_records(params, HERALD_TRIALS, seed=6)[1]
             assert np.all(records[tiny] == -1) and not records["four_fold"].any()
 
 
@@ -841,7 +895,7 @@ def test_heralds_on_an_empty_index_space(p):
         for pair in ((0.0, p), (1.0, p)):
             params = make_params(p_a=pair[0], p_b=pair[1])
             stats = simulate_campaign(params, 1000, seed=6)
-            records = np.concatenate([*CampaignRecords(params, 1000, seed=6)])
+            records = simulate_campaign_records(params, 1000, seed=6)[1]
             check_records(params, stats, records, 1000)
 
 
@@ -951,12 +1005,18 @@ def test_dense_campaign_memory_is_one_workspace():
 
 def test_records_do_not_alias_the_campaign_workspace():
     # the substream arrays are views into a workspace that the next
-    # substream overwrites; the record blocks must not be
-    n_trials = 3 * (1 << 16) + 7
-    blocks = list(CampaignRecords(DENSE_DARK, n_trials, seed=8))
-    copies = [block.copy() for block in CampaignRecords(DENSE_DARK, n_trials, seed=8)]
-    assert [block.size for block in blocks] == [1 << 16] * 3 + [7]
-    assert [block.tobytes() for block in blocks] == [block.tobytes() for block in copies]
+    # substream overwrites; the heralded runs must not be: one pass is held
+    # as yielded, against a second pass copied as it is drawn
+    records = CampaignRecords(DENSE_DARK, 3 * SUBSTREAM_MIN + 7, seed=8)
+    held = list(records.heralded())
+    copies = [
+        (lo, m, [[column.copy() for column in run] for run in runs])
+        for lo, m, runs in records.heralded()
+    ]
+    assert [m for _, m, _ in held] == [SUBSTREAM_MIN] * 3 + [7]
+    for (_, _, runs), (_, _, runs_copied) in zip(held, copies, strict=True):
+        for run, run_copied in zip(runs, runs_copied, strict=True):
+            assert [c.tobytes() for c in run] == [c.tobytes() for c in run_copied]
 
 
 @pytest.mark.parametrize(
@@ -1111,19 +1171,16 @@ def test_empty_trials_match_flatnonzero(data, m):
 
 
 def test_sparse_records_across_substreams():
-    # the paper's physics: 2**18-trial substreams, each cut into record
-    # blocks of at most _CHUNK_SIZE rows
+    # the paper's physics: 2**18-trial substreams, the second cut short
     params = default_params()
     size = _substream_trials(params)
+    assert size == 1 << 18
     n_trials = size + 70_000
-    blocks = list(CampaignRecords(params, n_trials, seed=31))
-    assert [block.size for block in blocks] == [_CHUNK_SIZE] * 5 + [70_000 - _CHUNK_SIZE]
-    for block in blocks:
-        check_block_marks(block)
-    records = np.concatenate(blocks)
-    stats = simulate_campaign(params, n_trials, seed=31)
+    stats, records = simulate_campaign_records(params, n_trials, seed=31)
+    assert stats == simulate_campaign(params, n_trials, seed=31)
+    check_record_marks(records)
     check_records(params, stats, records, n_trials)
-    again = np.concatenate([*CampaignRecords(params, n_trials, seed=31)])
+    again = simulate_campaign_records(params, n_trials, seed=31)[1]
     assert again.tobytes() == records.tobytes()
     for source, column in ((params.source_a, "herald_a"), (params.source_b, "herald_b")):
         assert_heralds_follow_law(records, column, source.herald_prob, params.n_write_max)
@@ -1165,10 +1222,10 @@ def test_campaign_count_and_records_agree(
         tau_c_us=3.0,
     )
     # within 3 trials of the params' own substream boundaries; a substream
-    # too long to record here (P_max < 1/64) is crossed at record block
-    # boundaries instead
+    # too long to record here (P_max < 1/64) is cut within 3 trials of a
+    # multiple of 2**16 instead
     size = _substream_trials(params)
-    n_trials = boundaries * (size if size <= 1 << 19 else _CHUNK_SIZE) + offset
+    n_trials = boundaries * (size if size <= 1 << 19 else SUBSTREAM_MIN) + offset
     stats, records = simulate_campaign_records(params, n_trials, seed)
     assert simulate_campaign(params, n_trials, seed) == stats
     check_records(params, stats, records, n_trials)

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 import heraldsync
 from heraldsync.cli import main
 from heraldsync.config import parse_config
-from heraldsync.protocol import N_WRITE_MAX_CAP, TRIAL_RECORD_DTYPE, default_params
+from heraldsync.protocol import (
+    N_WRITE_MAX_CAP,
+    TRIAL_RECORD_DTYPE,
+    default_params,
+    simulate_campaign_records,
+)
 from heraldsync.runner import (
     _distinct,
     _float_frame,
@@ -129,7 +134,7 @@ def test_protocol_sim_records_table():
         "protocol.source_b.gamma0 = 0.9\n"
     )
     assert columns == ("trial", "herald_a", "herald_b", "hold_a_ns", "hold_b_ns", "four_fold")
-    assert sum(block.size for block in rows) == 2000
+    assert sum(m for _, m, _ in rows.heralded()) == 2000
     assert doc["metrics"]["four_fold_count"] > 0
 
 
@@ -422,11 +427,12 @@ def test_record_block_matches_per_cell_formatting(case):
 
 
 def test_dense_campaign_record_table_matches_per_cell_formatting(tmp_path):
-    doc, (names, records) = run_text(RECORDS + "seed = 4\ntrials = 70000\n" + RECORD_SOURCES_DENSE)
-    rows = [row for block in records for row in block.tolist()]
-    assert len(rows) == 70_000
-    emit_outputs(doc, (names, records), tmp_path)
-    assert (tmp_path / "table.csv").read_text() == per_cell_table(names, [*zip(*rows)])
+    doc, (names, table) = run_text(RECORDS + "seed = 4\ntrials = 70000\n" + RECORD_SOURCES_DENSE)
+    _, records = simulate_campaign_records(table.params, table.n_trials, table.seed)
+    assert records.size == 70_000
+    emit_outputs(doc, (names, table), tmp_path)
+    lines = (tmp_path / "table.csv").read_bytes().decode().split("\n")
+    assert lines == [",".join(names)] + per_cell_records(records)
 
 
 @pytest.mark.parametrize(
@@ -452,15 +458,16 @@ def test_distinct_matches_unique(case):
     assert index.tolist() == expected_index.tolist()
 
 
-def per_cell_table(names, columns) -> str:
+def per_cell_table(names, columns) -> list:
+    # as lists of lines, which pytest compares without a whole-text diff
     lines = [",".join(names)] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    return lines + [""]
 
 
-def emitted_table(tmp_path, names, columns) -> str:
+def emitted_table(tmp_path, names, columns) -> list:
     doc, _ = run_text("scenario = enhancement\n")
     emit_outputs(doc, (names, columns), tmp_path)
-    return (tmp_path / "table.csv").read_bytes().decode()
+    return (tmp_path / "table.csv").read_bytes().decode().split("\n")
 
 
 def test_generic_table_matches_per_cell_formatting(tmp_path):
