@@ -52,8 +52,9 @@ __all__ = [
 
 _GRID_CELLS = 1 << 15  # tau x slot cells per block of the sweep grid, which bounds its memory
 _SUM_EXPONENT = 500.0 * math.log(2.0)  # q**-k < 2**500 within one block of the closed form's sums
-#: Largest write budget N accepted (``protocol.n_write_max`` and every
-#: ``enhancement.n_write_max_list`` entry); the closed form allocates O(N) per call.
+#: Largest write budget N accepted (``protocol.n_write_max``, every
+#: ``enhancement.n_write_max_list`` entry, :class:`ProtocolParams` and
+#: :func:`p4c_feedback_by_n`); the closed form allocates O(N) per call.
 N_WRITE_MAX_CAP = 100_000
 
 
@@ -124,8 +125,9 @@ class ProtocolParams:
     latency_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_write_max, (int, np.integer)) and self.n_write_max >= 1):
-            raise ValueError(f"n_write_max must be an integer >= 1, got {self.n_write_max}")
+        n = self.n_write_max
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= N_WRITE_MAX_CAP):
+            raise ValueError(f"n_write_max must be an integer in [1, {N_WRITE_MAX_CAP}], got {n}")
         if not (math.isfinite(self.dt_write_ns) and self.dt_write_ns > 0.0):
             raise ValueError(f"dt_write_ns must be positive and finite, got {self.dt_write_ns}")
         _check_tau_c(self.tau_c_us)
@@ -248,6 +250,8 @@ def p4c_feedback_by_n(params: ProtocolParams, taus, ns) -> np.ndarray:
     """
     if min(ns) < 1:
         raise ValueError(f"every n_write_max must be >= 1, got {min(ns)}")
+    if max(ns) > N_WRITE_MAX_CAP:
+        raise ValueError(f"every n_write_max must be <= {N_WRITE_MAX_CAP}, got {max(ns)}")
     probs = params.source_a.herald_prob, params.source_b.herald_prob
     q = np.subtract(1.0, probs)
     n_max = int(max(ns))

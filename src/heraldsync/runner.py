@@ -45,14 +45,6 @@ TABLE_FILE = "table.csv"
 _COUNT_SPAN = 4
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".10g")
-
-
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ``values`` and each one's index among them.
 
@@ -193,50 +185,24 @@ def _int_frame(values: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)[:, 1 : 2 + 2 * pairs]
 
 
-def _cells(column) -> np.ndarray:
-    """A table column as float64, int64 or bytes cells.
-
-    A numpy float, int or bool column is taken as it is.  A list is typed
-    by its cells: all ints and bools as int64, all floats as float64, and
-    a mixed column, or ints beyond int64, as :func:`_fmt` text.  A column
-    that broadcasts one value, or a list of one object in every cell, is
-    formatted once.
-    """
-    if isinstance(column, np.ndarray) and column.dtype.kind in "bif":
-        if column.size > 1 and column.strides == (0,):
-            return np.broadcast_to(np.array(_fmt(column[0]), dtype="S"), column.shape)
-        return column
-    column = list(column)
-    if column and all(v is column[0] for v in column):
-        return np.broadcast_to(np.array(_fmt(column[0]), dtype="S"), len(column))
-    ints = {issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, column))}
-    if ints == {False}:
-        return np.array(column, dtype=np.float64)
-    if ints == {True}:
-        try:
-            return np.array(column, dtype=np.int64)
-        except OverflowError:
-            pass
-    return np.array([_fmt(v) for v in column], dtype="S")
-
-
-def _frames(cells: list, rows: int) -> list:
-    """Each column's rows of NUL-padded bytes; one row for a broadcast text column.
+def _frames(columns: list) -> list:
+    """Each column's rows of NUL-padded bytes; one unpadded row for a broadcast one.
 
     The float columns go through :func:`_float_frame` in one call, and the
-    int and bool columns through :func:`_int_frame`.
+    int and bool columns through :func:`_int_frame`; a column that
+    broadcasts one value (``strides == (0,)``) puts only that value in.
     """
-    frames = [None] * len(cells)
+    frames = [None] * len(columns)
     for kinds, dtype, kernel in (("f", np.float64, _float_frame), ("bi", np.int64, _int_frame)):
-        at = [k for k, column in enumerate(cells) if column.dtype.kind in kinds]
+        at = [k for k, column in enumerate(columns) if column.dtype.kind in kinds]
         if at:
-            framed = kernel(np.concatenate([cells[k] for k in at], dtype=dtype))
-            for j, k in enumerate(at):
-                frames[k] = framed[j * rows : (j + 1) * rows]
-    for k, column in enumerate(cells):
-        if column.dtype.kind == "S":
-            text = column[:1] if column.strides == (0,) else column
-            frames[k] = np.ascontiguousarray(text).view(np.uint8).reshape(text.size, -1)
+            parts = [columns[k][:1] if columns[k].strides == (0,) else columns[k] for k in at]
+            framed = kernel(np.concatenate(parts, dtype=dtype))
+            for k, part in zip(at, parts):
+                frames[k], framed = framed[: part.size], framed[part.size :]
+    for k, column in enumerate(columns):
+        if column.strides == (0,):
+            frames[k] = frames[k][:, frames[k][0] > 0]
     return frames
 
 
@@ -258,12 +224,19 @@ def _lines(frames: list, rows: int) -> bytes:
 
 
 def _table_blocks(columns: list):
-    """CSV lines of a generic table given by column, a block of rows at a time."""
-    cells = [_cells(column) for column in columns]
-    size = len(cells[0]) if cells else 0
+    """CSV lines of a generic table given by column, a block of rows at a time.
+
+    Each column is taken as one numpy array of bool, int or float cells; any
+    other kind raises ``TypeError``.
+    """
+    columns = [np.asarray(column) for column in columns]
+    for column in columns:
+        if column.dtype.kind not in "bif":
+            raise TypeError(f"a table column must be bool, int64 or float64, got {column.dtype}")
+    size = len(columns[0]) if columns else 0
     for lo in range(0, size, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, size - lo)
-        yield _lines(_frames([column[lo : lo + rows] for column in cells], rows), rows)
+        yield _lines(_frames([column[lo : lo + rows] for column in columns]), rows)
 
 
 def _record_blocks(params, lo: int, m: int, runs):
@@ -274,26 +247,25 @@ def _record_blocks(params, lo: int, m: int, runs):
     :meth:`CampaignRecords.heralded` gives them; every other trial heralded
     on neither node.  Everything after the trial index is a function of
     (herald_a, herald_b, four_fold), since the hold times follow from the
-    two heralds (:func:`_record_holds`).  Each distinct suffix, the
-    unheralded one included, is formatted once; a block starts every row
-    at the unheralded suffix and puts each heralded row's own in its place.
+    two heralds (:func:`_record_holds`).  The rows are ranked by one key of
+    the three, which the write budget ``params.n_write_max`` bounds, and
+    each distinct suffix, the unheralded one included, goes through the
+    frame kernels once; a block starts every row at the unheralded suffix
+    and puts each heralded row's own in its place.
     """
     # the heralded rows, then one unheralded row
     trials, *columns = zip(*runs)
     herald_a, herald_b, four_fold = (
         np.concatenate([*column, [fill]]) for column, fill in zip(columns, (-1, -1, False))
     )
-    # Ranking each herald column first keeps the joint key below
-    # 2 * len(key)**2, whatever values the heralds take.
-    _, rank_a = _distinct(herald_a)
-    values_b, rank_b = _distinct(herald_b)
-    keys, inverse = _distinct((rank_a * values_b.size + rank_b) * 2 + four_fold)
+    # heralds lie in [-1, N - 1], so the key stays below 2 * (N + 1)**2
+    span = params.n_write_max + 1
+    keys, inverse = _distinct(((herald_a + 1) * span + herald_b + 1) * 2 + four_fold)
     row = np.empty(keys.size, dtype=np.intp)
     row[inverse] = np.arange(inverse.size)
     a, b = herald_a[row], herald_b[row]
-    holds = _record_holds(params, a, b).tolist()
-    cells = zip(a.tolist(), b.tolist(), *holds, four_fold[row].tolist())
-    suffixes = [",".join(map(_fmt, cell)) for cell in cells]
+    cells = [a, b, *_record_holds(params, a, b), four_fold[row]]
+    suffixes = _lines(_frames(cells), keys.size).split(b"\n")[:-1]
     # as int64 words, so that the gather per row copies whole words
     width = max(map(len, suffixes))
     words = np.array(suffixes, dtype=f"S{-(-width // 8) * 8}").view(np.int64)
@@ -392,8 +364,9 @@ def _run_protocol_sim(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
 def run_scenario(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
     """Run the configured scenario: its summary.json document and its table.
 
-    The table is None or ``(names, data)``, the data a list of columns or,
-    for the trial records, a :class:`CampaignRecords`, which draws the
+    The table is None or ``(names, data)``, the data a list of columns, each
+    a bool, int64 or float64 array or a list numpy types as one, or, for
+    the trial records, a :class:`CampaignRecords`, which draws the
     campaign again each time it is read.  A non-finite metric
     raises, except an infinite ``n_sigma`` (an exact S
     away from 2), which the document carries as the string ``"inf"`` or
@@ -428,9 +401,11 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     """Write summary.json (and table.csv when present) under ``path``.
 
     LF newlines; floats carry at least six significant digits.  Tables are
-    formatted by column, a block of rows at a time; a
-    :class:`CampaignRecords` table is written one substream at a time from
-    its heralded trials (:func:`_record_blocks`), with no per-trial record.
+    formatted by column, a block of rows at a time, every cell by
+    :func:`_float_frame` or :func:`_int_frame`; a column of any other numpy
+    kind raises ``TypeError``.  A :class:`CampaignRecords` table is written
+    one substream at a time from its heralded trials (:func:`_record_blocks`),
+    with no per-trial record.
     """
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)

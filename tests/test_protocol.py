@@ -294,7 +294,9 @@ def test_params_reject_non_finite(field, value):
         make_params(**{field: value})
 
 
-@pytest.mark.parametrize("value", [2.5, 12.0, "12", None, 0, np.int64(-1)])
+@pytest.mark.parametrize(
+    "value", [2.5, 12.0, "12", None, 0, np.int64(-1), N_WRITE_MAX_CAP + 1, np.int64(10**10)]
+)
 def test_params_reject_non_integer_budget(value):
     with pytest.raises(ValueError, match="n_write_max"):
         make_params(n_write_max=value)
@@ -565,6 +567,12 @@ def test_per_slot_terms_are_nonnegative(p_a, p_b, n, tau, latency_ns, decay_mode
 def test_column_rejects_empty_budget():
     with pytest.raises(ValueError, match="n_write_max"):
         p4c_feedback_by_n(default_params(), [12.0], [12, 0])
+
+
+@pytest.mark.parametrize("ns", [[12, N_WRITE_MAX_CAP + 1], [N_WRITE_MAX_CAP + 1]])
+def test_column_rejects_budget_above_cap(ns):
+    with pytest.raises(ValueError, match="n_write_max"):
+        p4c_feedback_by_n(default_params(), [12.0], ns)
 
 
 # ---------------------------------------------------------------------------

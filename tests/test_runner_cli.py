@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from heraldsync.protocol import (
 from heraldsync.runner import (
     _distinct,
     _float_frame,
-    _fmt,
     _int_frame,
     _lines,
     _record_blocks,
@@ -36,6 +36,16 @@ from heraldsync.runner import (
 
 def run_text(text: str):
     return run_scenario(parse_config(text))
+
+
+def cell_text(value) -> str:
+    """The reference text of one table cell: an int as ``str(int(v))``, a bool
+    as 1 or 0, a float as ``'%.10g' % v``."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.10g" % value
 
 
 def test_public_names_resolve():
@@ -165,7 +175,7 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
 
 # Golden corpus over every scenario: SHA-256 of table.csv (None where the
 # scenario writes none) and of summary.json.  Each record table equals the
-# per-cell _fmt rendering of its records.
+# per-cell cell_text rendering of its records.
 @pytest.mark.parametrize(
     "text,table_sha,summary_sha",
     [
@@ -348,25 +358,27 @@ def heralded_runs(records) -> list:
 
 def written_records(records, spans) -> list:
     """The record writer's lines for these records (holds as under the default
-    params), given one trial span ``(lo, m)`` at a time, split at each newline."""
+    params, whose timing keys set them), given one trial span ``(lo, m)`` at a
+    time, split at each newline; heralds may reach the largest write budget."""
+    params = replace(default_params(), n_write_max=N_WRITE_MAX_CAP)
     lines = []
     for lo, m in spans:
         span = records[(records["trial"] >= lo) & (records["trial"] < lo + m)]
         assert span["trial"].tolist() == list(range(lo, lo + m))
-        lines += _record_blocks(default_params(), lo, m, heralded_runs(span))
+        lines += _record_blocks(params, lo, m, heralded_runs(span))
     return b"".join(lines).decode().split("\n")
 
 
 def per_cell_records(records) -> list:
     # as lists of lines, which pytest compares without a whole-text diff
-    return [",".join(_fmt(v) for v in row) for row in records.tolist()] + [""]
+    return [",".join(map(cell_text, row)) for row in records.tolist()] + [""]
 
 
 def test_record_table_matches_per_cell_formatting():
-    # heralds far beyond any joint key a product of raw values could hold,
-    # across a span edge that is no multiple of a block of rows
+    # heralds at both ends of the largest write budget, across a span edge
+    # that is no multiple of a block of rows
     rng = np.random.default_rng(8)
-    choices = np.array([-1, 0, 3, 2**40, 2**62])
+    choices = np.array([-1, 0, 3, N_WRITE_MAX_CAP - 2, N_WRITE_MAX_CAP - 1])
     size = 70_000
     records = record_block(
         rng.choice(choices, size), rng.choice(choices, size), rng.random(size) < 0.5
@@ -460,7 +472,7 @@ def test_distinct_matches_unique(case):
 
 def per_cell_table(names, columns) -> list:
     # as lists of lines, which pytest compares without a whole-text diff
-    lines = [",".join(names)] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    lines = [",".join(names)] + [",".join(map(cell_text, row)) for row in zip(*columns)]
     return lines + [""]
 
 
@@ -471,8 +483,7 @@ def emitted_table(tmp_path, names, columns) -> list:
 
 
 def test_generic_table_matches_per_cell_formatting(tmp_path):
-    # columns of python and numpy ints, bools and floats, and one column
-    # mixing ints and floats, which keeps per-cell formatting
+    # columns of python and numpy ints, bools and floats
     rng = np.random.default_rng(6)
     specials = [0.0, -0.0, 5e-324, -2.2e-310, 1e300, -1e300, 3.0, -7.0, 1e10, 2.0**53,
                 123456789012.0, math.nan, math.inf, -math.inf]
@@ -487,9 +498,8 @@ def test_generic_table_matches_per_cell_formatting(tmp_path):
         [np.bool_(k % 2) for k in range(n)],
         floats,
         [np.float64(v) for v in reversed(floats)],
-        [ints[k] if k % 2 else floats[k] for k in range(n)],
     ]
-    names = tuple("abcdefg")
+    names = tuple("abcdef")
     assert emitted_table(tmp_path, names, columns) == per_cell_table(names, columns)
 
 
@@ -505,14 +515,30 @@ def test_generic_table_matches_per_cell_formatting(tmp_path):
         pytest.param([np.bool_(False)] * 5, id="numpy-bool"),
         # equal cells that are different objects and format differently
         pytest.param([0.0, -0.0, 0.0, -0.0, 0.0], id="signed-zeros"),
-        pytest.param([10**12, 1e12, np.float64(1e12), np.int64(10**12), 10**12], id="ints-floats"),
         pytest.param([1, True, 1.0, np.bool_(True), np.int64(1)], id="ones"),
+        # broadcast columns, formatted once: the padding strip keeps signs,
+        # nan and every digit, and one column spans two blocks of rows
+        pytest.param(np.broadcast_to(-0.0, 5), id="broadcast-negative-zero"),
+        pytest.param(np.broadcast_to(math.nan, 5), id="broadcast-nan"),
+        pytest.param(np.broadcast_to(np.int64(-(2**62)), 5), id="broadcast-int"),
+        pytest.param(np.broadcast_to(True, 5), id="broadcast-bool"),
+        pytest.param(np.broadcast_to(1 / 3, 5000), id="broadcast-across-blocks"),
     ],
 )
 def test_generic_table_constant_column_matches_per_cell_formatting(tmp_path, column):
-    columns = [[0.25 * k for k in range(5)], column, list(range(5))]
+    n = len(column)
+    columns = [[0.25 * k for k in range(n)], column, list(range(n))]
     names = ("x", "constant", "k")
     assert emitted_table(tmp_path, names, columns) == per_cell_table(names, columns)
+
+
+@pytest.mark.parametrize(
+    "column", [pytest.param(["a", "b"], id="str"), pytest.param([2**64, 1], id="beyond-int64")]
+)
+def test_generic_table_rejects_a_column_of_other_kind(tmp_path, column):
+    doc, _ = run_text("scenario = enhancement\n")
+    with pytest.raises(TypeError, match="column"):
+        emit_outputs(doc, (("x", "y"), [[0.5, 1.5], column]), tmp_path)
 
 
 def test_generic_table_of_one_row_matches_per_cell_formatting(tmp_path):
