@@ -26,7 +26,6 @@ __all__ = [
     "ChshMode",
     "HomSettings",
     "ChshSettings",
-    "EnhancementSettings",
     "RunConfig",
     "parse_config",
     "DEFAULT_SEED",
@@ -98,12 +97,6 @@ class ChshSettings:
 
 
 @dataclass(frozen=True)
-class EnhancementSettings:
-    tau_c_us_list: tuple[float, ...] | None = None
-    n_write_max_list: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     scenario: Scenario
     seed: int
@@ -111,7 +104,8 @@ class RunConfig:
     output_path: str
     record_trials: bool
     protocol: ProtocolParams
-    enhancement: EnhancementSettings
+    tau_c_us_list: tuple[float, ...]
+    n_write_max_list: tuple[int, ...]
     hom: HomSettings
     chsh: ChshSettings
     config_hash: str
@@ -169,8 +163,6 @@ def _parse_like(default: Any) -> Callable[[str], Any]:
 # Keys whose parser the type of their default cannot give.
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "protocol.n_write_max": _parse_int_in(1, N_WRITE_MAX_CAP),
-    "enhancement.tau_c_us_list": _parse_list(lambda text: _check_tau_c(_parse_float(text))),
-    "enhancement.n_write_max_list": _parse_list(_parse_int_in(1, N_WRITE_MAX_CAP)),
     "hom.points": _parse_int_in(2, HOM_POINTS_CAP),
     "chsh.n_events": _parse_int_in(1, 2**63 - 1),
 }
@@ -185,12 +177,14 @@ def _schema() -> dict[str, tuple[Callable[[str], Any], Any]]:
         "trials": (_parse_int_in(1, 2**63 - 1), 100_000),
         "output_path": (str, "out"),
         "protocol_sim.record_trials": (_parse_bool, False),
+        # the sweep lists; unset, each is the protocol's own value
+        "enhancement.tau_c_us_list": (_parse_list(lambda t: _check_tau_c(_parse_float(t))), None),
+        "enhancement.n_write_max_list": (_parse_list(_parse_int_in(1, N_WRITE_MAX_CAP)), None),
     }
     sections = (
         ("protocol.", protocol),
         ("protocol.source_a.", protocol.source_a),
         ("protocol.source_b.", protocol.source_b),
-        ("enhancement.", EnhancementSettings()),
         ("hom.", HomSettings()),
         ("chsh.", ChshSettings()),
         ("chsh.", AnalyzerSettings()),
@@ -300,6 +294,7 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         raise ConfigError("missing required key", key="scenario")
 
     sources = {f"source_{tag}": _build_source(resolved, pairs, tag) for tag in ("a", "b")}
+    protocol = _section(ProtocolParams, "protocol.", resolved, pairs, **sources)
     analyzers = _section(AnalyzerSettings, "chsh.", resolved, pairs)
     return RunConfig(
         scenario=resolved["scenario"],
@@ -307,8 +302,9 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
         trials=resolved["trials"],
         output_path=resolved["output_path"],
         record_trials=resolved["protocol_sim.record_trials"],
-        protocol=_section(ProtocolParams, "protocol.", resolved, pairs, **sources),
-        enhancement=_section(EnhancementSettings, "enhancement.", resolved, pairs),
+        protocol=protocol,
+        tau_c_us_list=resolved["enhancement.tau_c_us_list"] or (protocol.tau_c_us,),
+        n_write_max_list=resolved["enhancement.n_write_max_list"] or (protocol.n_write_max,),
         hom=_section(HomSettings, "hom.", resolved, pairs),
         chsh=_section(ChshSettings, "chsh.", resolved, pairs, settings=analyzers),
         config_hash=_hash_resolved(resolved),

@@ -180,6 +180,11 @@ class SourceParams:
     ``alpha_override`` pins the retrieved-field anti-correlation parameter
     to an externally measured value; ``dark_click_prob`` adds a per-attempt
     dark count to the herald (off by default).
+
+    Both are resolved once, when the source is built, into ``herald_prob``,
+    the per-write-attempt probability that the herald detector clicks, and
+    ``effective_chi``, the chi of the conditional excitation shape (None for
+    the idealized source).
     """
 
     gamma0: float
@@ -205,36 +210,26 @@ class SourceParams:
             raise ValueError("one of p_as or chi is required")
         if self.p_as is None and self.eta_as is None:
             raise ValueError("eta_as is required when the source is given by chi")
-        # The heralded shape, derived once and no field (so no config key).
+        # The derived values, set here and no fields (so no config keys).
+        if self.p_as is None:
+            chi = self.chi
+            signal = herald_probability(emission_distribution(chi), self.eta_as)
+        else:
+            chi = None if self.eta_as is None else solve_chi_for_herald(self.p_as, self.eta_as)
+            signal = self.p_as
+        dark = self.dark_click_prob
+        herald_prob = signal + dark - signal * dark
         shape = None  # a source that never heralds has none
-        if self.herald_prob > 0.0 and self.eta_as is None:
+        if herald_prob > 0.0 and chi is None:
             # Idealized source: a herald loads exactly one excitation; dark
             # counts contribute vacuum-loaded heralds.
-            q1 = self.p_as / self.herald_prob
+            q1 = self.p_as / herald_prob
             shape = FockDistribution((1.0 - q1, q1, 0.0))
-        elif self.herald_prob > 0.0:
-            dist = emission_distribution(self.effective_chi)
-            shape = heralded_excitation_distribution(dist, self.eta_as, self.dark_click_prob)
+        elif herald_prob > 0.0:
+            shape = heralded_excitation_distribution(emission_distribution(chi), self.eta_as, dark)
+        object.__setattr__(self, "herald_prob", herald_prob)
+        object.__setattr__(self, "effective_chi", chi)
         object.__setattr__(self, "_shape", shape)
-
-    @property
-    def herald_prob(self) -> float:
-        """Per-write-attempt probability that the herald detector clicks."""
-        if self.p_as is not None:
-            signal = self.p_as
-        else:
-            signal = herald_probability(emission_distribution(self.chi), self.eta_as)
-        dark = self.dark_click_prob
-        return signal + dark - signal * dark
-
-    @property
-    def effective_chi(self) -> float | None:
-        """chi used for the conditional excitation shape (None = idealized)."""
-        if self.p_as is None:
-            return self.chi
-        if self.eta_as is None:
-            return None
-        return solve_chi_for_herald(self.p_as, self.eta_as)
 
     def heralded_shape(self) -> FockDistribution:
         """Excitation distribution stored in the memory, given a herald."""

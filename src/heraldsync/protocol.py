@@ -138,11 +138,6 @@ class ProtocolParams:
             name = "dt_write_ns" if math.isfinite(overhead) else "latency_ns"
             raise ValueError(f"{name} overflows the longest hold, got {getattr(self, name)}")
 
-    def gamma_at(self, source: SourceParams, hold_time_ns):
-        return memory_retrieval_efficiency(
-            source.gamma0, hold_time_ns, self.decay_model, self.tau_c_us
-        )
-
 
 def _read_success(shape: FockDistribution, gamma, out):
     # P(>=1 photon retrieved) for a memory holding the shape q,
@@ -338,11 +333,12 @@ def run_protocol_trial(params: ProtocolParams, rng: np.random.Generator) -> tupl
                 herald[idx] = k
     if None in herald:
         return herald[0], herald[1], False
-    photons_a, photons_b = (
-        _retrieved(source.heralded_shape(), params.gamma_at(source, hold), rng.random(3))
-        for source, hold in zip(sources, _holds(params, *herald))
-    )
-    return herald[0], herald[1], bool(photons_a > 0 and photons_b > 0)
+    decay = params.decay_model, params.tau_c_us
+    photons = []
+    for source, hold in zip(sources, _holds(params, *herald)):
+        gamma = memory_retrieval_efficiency(source.gamma0, hold, *decay)
+        photons.append(_retrieved(source.heralded_shape(), gamma, rng.random(3)))
+    return herald[0], herald[1], bool(min(photons) > 0)
 
 
 @dataclass(frozen=True)

@@ -227,16 +227,21 @@ def _table_blocks(columns: list):
     """CSV lines of a generic table given by column, a block of rows at a time.
 
     Each column is taken as one numpy array of bool, int or float cells; any
-    other kind raises ``TypeError``.
+    other kind raises ``TypeError``, as does a list of ints that
+    ``np.asarray`` rounds to float64 (one at 2**63 or beyond among smaller
+    ones).  A list that mixes ints and floats is float64.
     """
-    columns = [np.asarray(column) for column in columns]
-    for column in columns:
-        if column.dtype.kind not in "bif":
-            raise TypeError(f"a table column must be bool, int64 or float64, got {column.dtype}")
-    size = len(columns[0]) if columns else 0
+    arrays = [np.asarray(column) for column in columns]
+    for column, array in zip(columns, arrays):
+        if array.dtype.kind == "f" and not isinstance(column, np.ndarray):
+            if not any(isinstance(cell, (float, np.floating)) for cell in column):
+                raise TypeError("a table column of ints must type as int64, got float64")
+        if array.dtype.kind not in "bif":
+            raise TypeError(f"a table column must be bool, int64 or float64, got {array.dtype}")
+    size = len(arrays[0]) if arrays else 0
     for lo in range(0, size, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, size - lo)
-        yield _lines(_frames([column[lo : lo + rows] for column in columns]), rows)
+        yield _lines(_frames([array[lo : lo + rows] for array in arrays]), rows)
 
 
 def _record_blocks(params, lo: int, m: int, runs):
@@ -284,8 +289,7 @@ def _record_blocks(params, lo: int, m: int, runs):
 
 def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], tuple]:
     params = config.protocol
-    taus = config.enhancement.tau_c_us_list or (params.tau_c_us,)
-    ns = config.enhancement.n_write_max_list or (params.n_write_max,)
+    taus, ns = config.tau_c_us_list, config.n_write_max_list
     baselines, baseline = p4c_no_feedback(params, taus), p4c_no_feedback(params)
     if not (baselines.all() and baseline):
         raise ValueError("no-feedback coincidence probability is zero")

@@ -11,7 +11,6 @@ from heraldsync.config import (
     ChshMode,
     ChshSettings,
     ConfigError,
-    EnhancementSettings,
     HomSettings,
     Scenario,
     parse_config,
@@ -118,6 +117,23 @@ def test_chi_source_drops_default_p_as():
     assert config.protocol.source_b.p_as == 2.0e-3
 
 
+def test_source_resolution_through_the_parser_pinned():
+    # p_as = 1e-17 lies below eta_as = 0.5's supremum 5/12, so chi is solved
+    text = "protocol.source_a.eta_as = {}\nprotocol.source_a.p_as = 1e-17\nscenario = chsh\n"
+    source = parse_config(text.format(0.5)).protocol.source_a
+    assert source.herald_prob.hex() == "0x1.70ef54646d497p-57"
+    assert source.effective_chi.hex() == "0x1.70ef54646d497p-56"
+    assert source.heralded_shape().p == (0.0, 1.0, 3e-17)
+    # eta_as = 1e-17 cannot reach it: the error names p_as and its line
+    with pytest.raises(ConfigError) as info:
+        parse_config(text.format(1e-17))
+    assert str(info.value) == (
+        "p_as = 1e-17 is not reachable for eta_as = 1e-17 (requires p_as < 1e-17) "
+        "(key: protocol.source_a.p_as line: 2)"
+    )
+    assert info.value.key == "protocol.source_a.p_as"
+
+
 def test_explicit_p_as_wins_over_chi():
     text = (
         "scenario = protocol_sim\n"
@@ -136,8 +152,24 @@ def test_enhancement_sweep_lists():
         "enhancement.n_write_max_list = 1,6,12\n"
     )
     config = parse_config(text)
-    assert config.enhancement.tau_c_us_list == (1.0, 5.0, 12.0)
-    assert config.enhancement.n_write_max_list == (1, 6, 12)
+    assert config.tau_c_us_list == (1.0, 5.0, 12.0)
+    assert config.n_write_max_list == (1, 6, 12)
+
+
+def test_unset_sweep_lists_are_the_protocols_values():
+    config = parse_config(MINIMAL)
+    assert config.tau_c_us_list == (config.protocol.tau_c_us,)
+    assert config.n_write_max_list == (config.protocol.n_write_max,)
+    config = parse_config(MINIMAL + "protocol.tau_c_us = 7\nprotocol.n_write_max = 3\n")
+    assert (config.tau_c_us_list, config.n_write_max_list) == ((7.0,), (3,))
+
+
+def test_sweep_list_hashes_pinned():
+    # an unset list stays out of the hash; one set to the protocol's value does not
+    unset = parse_config(MINIMAL).config_hash
+    assert unset == "9806a7af2cc1503f8eedb037dc90f22a9b009dd45d899218b0f967359cce1ba4"
+    explicit = parse_config(MINIMAL + "enhancement.tau_c_us_list = 12\n").config_hash
+    assert explicit == "41a1b39d84dec151f1b787ca7e005e541a34bdda90a88646e049508f2ef3aa9e"
 
 
 @pytest.mark.parametrize(
@@ -211,7 +243,6 @@ def test_override_bad_value():
 def test_defaults_are_the_shipped_profile():
     config = parse_config(MINIMAL)
     assert config.protocol == default_params()
-    assert config.enhancement == EnhancementSettings()
     assert config.hom == HomSettings()
     assert config.chsh == ChshSettings()
 

@@ -279,6 +279,55 @@ def test_source_p_as_with_eta_solves_chi():
     assert src.heralded_shape()[2] > 0.0
 
 
+@pytest.mark.parametrize(
+    "given,herald_hex,chi,shape",
+    [
+        pytest.param({"p_as": 2e-3}, "0x1.0624dd2f1a9fcp-9", None, (0.0, 1.0, 0.0), id="p_as"),
+        pytest.param(
+            {"p_as": 2e-3, "dark_click_prob": 1e-4},
+            "0x1.133998a802122p-9",
+            None,
+            (0.047528336032002905, 0.9524716639679971, 0.0),
+            id="p_as-dark",
+        ),
+        pytest.param(
+            {"p_as": 2e-3, "eta_as": 0.5},
+            "0x1.0624dd2f1a9fcp-9",
+            0.003992126642178436,
+            (0.0, 0.9940474550069158, 0.0059525449930841684),
+            id="p_as-eta_as",
+        ),
+        pytest.param(
+            {"chi": 0.05, "eta_as": 0.4},
+            "0x1.503de0b87747dp-6",
+            0.05,
+            (0.0, 0.9259259259259259, 0.07407407407407408),
+            id="chi-eta_as",
+        ),
+        pytest.param(
+            {"chi": 0.05, "eta_as": 0.4, "dark_click_prob": 3e-3},
+            "0x1.80628e61e583cp-6",
+            0.05,
+            (0.12149339683388206, 0.8136007807975636, 0.06490582236855429),
+            id="chi-eta_as-dark",
+        ),
+        pytest.param({"p_as": 0.0}, "0x0.0p+0", None, None, id="p_as-zero"),
+        pytest.param({"p_as": 1.0}, "0x1.0000000000000p+0", None, (0.0, 1.0, 0.0), id="p_as-one"),
+    ],
+)
+def test_source_resolution_pinned(given, herald_hex, chi, shape):
+    # each way to give a source, resolved bit for bit as before the values
+    # were set when the source is built
+    source = SourceParams(gamma0=0.08, **given)
+    assert source.herald_prob.hex() == herald_hex
+    assert source.effective_chi == chi
+    if shape is None:
+        with pytest.raises(ValueError, match="herald probability is zero"):
+            source.heralded_shape()
+    else:
+        assert source.heralded_shape().p == shape
+
+
 def test_source_rejects_unreachable_p_as_when_built():
     with pytest.raises(ValueError, match=r"^p_as = 0\.9 is not reachable"):
         SourceParams(gamma0=0.08, p_as=0.9, eta_as=0.5)

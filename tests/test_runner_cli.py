@@ -533,12 +533,23 @@ def test_generic_table_constant_column_matches_per_cell_formatting(tmp_path, col
 
 
 @pytest.mark.parametrize(
-    "column", [pytest.param(["a", "b"], id="str"), pytest.param([2**64, 1], id="beyond-int64")]
+    "column",
+    [
+        pytest.param(["a", "b"], id="str"),
+        pytest.param([2**64, 1], id="beyond-int64"),
+        # np.asarray types these as float64, which would round 2**63
+        pytest.param([2**63, 1], id="uint64-first"),
+        pytest.param([1, 2**63], id="uint64-last"),
+    ],
 )
 def test_generic_table_rejects_a_column_of_other_kind(tmp_path, column):
     doc, _ = run_text("scenario = enhancement\n")
     with pytest.raises(TypeError, match="column"):
         emit_outputs(doc, (("x", "y"), [[0.5, 1.5], column]), tmp_path)
+
+
+def test_generic_table_list_of_ints_and_floats_is_float64(tmp_path):
+    assert emitted_table(tmp_path, ("x",), [[1, 2.5]]) == ["x", "1", "2.5", ""]
 
 
 def test_generic_table_of_one_row_matches_per_cell_formatting(tmp_path):
