@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping
@@ -251,14 +252,15 @@ def _scan_pairs(text: str) -> dict[str, tuple[str, int | None]]:
 def _section(cls, prefix: str, resolved: Mapping[str, Any], pairs: Mapping, **given: Any):
     """``cls`` with each field read from key ``prefix + name``, except ``given``.
 
-    A failed check is reported at the field its message starts with, else at the section.
+    A failed check is reported at the first field its message names that the
+    config set, else at the first field it names, else at the section.
     """
     names = [f.name for f in fields(cls) if f.name not in given]
     try:
         return cls(**{name: resolved[prefix + name] for name in names}, **given)
     except ValueError as exc:
-        first = str(exc).split(" ", 1)[0]
-        key = prefix + first if first in names else prefix.rstrip(".")
+        named = [prefix + word for word in re.findall(r"\w+", str(exc)) if word in names]
+        key = next((key for key in named if key in pairs), [*named, prefix.rstrip(".")][0])
         raise ConfigError(str(exc), key=key, line=pairs.get(key, ("", None))[1]) from exc
 
 

@@ -162,15 +162,6 @@ def _holds(params: ProtocolParams, attempt_a, attempt_b) -> tuple:
     return tuple((later - i) * params.dt_write_ns + overhead for i in (attempt_a, attempt_b))
 
 
-def _record_holds(params: ProtocolParams, herald_a, herald_b) -> np.ndarray:
-    """Both hold times (ns) of trials with these heralds, -1 for none: from
-    :func:`_holds` where both nodes heralded, NaN elsewhere; shape (2, trials)."""
-    holds = np.full((2, herald_a.size), np.nan)
-    joint = (herald_a >= 0) & (herald_b >= 0)
-    holds[:, joint] = _holds(params, herald_a[joint], herald_b[joint])
-    return holds
-
-
 def _wait_success(params: ProtocolParams, hold_ns, taus=None, out=None) -> np.ndarray:
     """Each node's read success after holding for ``hold_ns``.
 
@@ -542,48 +533,51 @@ class CampaignRecords:
     seed: int
 
     def heralded(self) -> Iterator[tuple]:
-        """Yield ``(lo, m, runs)`` per substream, trials lo to lo + m - 1.
+        """Yield ``(lo, m, run)`` per substream, trials lo to lo + m - 1.
 
-        ``runs`` holds the heralded trials only, as two runs of ``(trial,
-        herald_a, herald_b, four_fold)`` columns, each sorted by trial:
-        node A's heralds, with B's attempt and the four-fold where B
-        heralded too, then B's heralds on A's empty trials, the substream's
-        last draws.  A herald is an attempt index, -1 where the node did
-        not herald; every trial in neither run heralded on neither node.
+        ``run`` holds the heralded trials only, sorted by trial, as one
+        column per ``TRIAL_RECORD_DTYPE`` field: a herald is an attempt
+        index, -1 where the node did not herald, and both holds are NaN
+        unless both nodes heralded.  Node A's heralds come from the count's
+        draws, B's on A's empty trials from the substream's last draws;
+        every trial not in the run heralded on neither node.
         """
         p_b, n_max = self.params.source_b.herald_prob, self.params.n_write_max
         chunks = _campaign_chunks(self.params, self.n_trials, self.seed)
         for lo, m, rng, (pos_a, att_a), in_a, att_b, four_fold in chunks:
-            # the workspace's views are copied before the next substream is drawn
-            herald_b = np.full(pos_a.size, -1)
-            herald_b[in_a] = att_b
-            four_fold_a = np.zeros(pos_a.size, dtype=bool)
-            four_fold_a[in_a] = four_fold
             in_empty, att_e = _heralds(rng, p_b, n_max, m - pos_a.size)
-            trial_e = _empty_trials(pos_a, in_empty) + lo
-            yield lo, m, (
-                (pos_a + lo, att_a.copy(), herald_b, four_fold_a),
-                (trial_e, np.full(att_e.size, -1), att_e, np.zeros(att_e.size, dtype=bool)),
-            )
+            trial_e = _empty_trials(pos_a, in_empty)
+            # a row's place is its index in its own run plus the other run's
+            # rows before it: for B's lone heralds, trial_e - in_empty A heralds
+            rows_a = np.arange(pos_a.size) + np.searchsorted(trial_e, pos_a)
+            rows_e = np.arange(trial_e.size) + trial_e - in_empty
+            joint = rows_a[in_a]
+            # the workspace's views are copied before the next substream is drawn
+            trial, herald_a, herald_b = np.full((3, rows_a.size + rows_e.size), -1, np.int64)
+            trial[rows_a], trial[rows_e] = pos_a + lo, trial_e + lo
+            herald_a[rows_a], herald_b[rows_e], herald_b[joint] = att_a, att_e, att_b
+            holds = np.full((2, trial.size), np.nan)
+            holds[:, joint] = _holds(self.params, att_a[in_a], att_b)
+            joint_four_fold = np.zeros(trial.size, dtype=bool)
+            joint_four_fold[joint] = four_fold
+            del in_empty, att_e, trial_e, rows_a, rows_e, joint  # only the run outlives the yield
+            yield lo, m, (trial, herald_a, herald_b, *holds, joint_four_fold)
 
 
 def simulate_campaign_records(
     params: ProtocolParams, n_trials: int, seed: int
 ) -> tuple[CoincidenceStats, np.ndarray]:
     """Like :func:`simulate_campaign`, plus one ``TRIAL_RECORD_DTYPE`` row per
-    trial, expanded from :meth:`CampaignRecords.heralded`: a node that did
+    trial, scattered from :meth:`CampaignRecords.heralded`: a node that did
     not herald reads -1, and a trial where either did not has NaN holds."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    records = np.zeros(n_trials, TRIAL_RECORD_DTYPE)
+    unheralded = np.array((0, -1, -1, np.nan, np.nan, False), TRIAL_RECORD_DTYPE)
+    records = np.full(n_trials, unheralded)
     records["trial"] = np.arange(n_trials)
-    records["herald_a"] = records["herald_b"] = -1
-    for _, _, runs in CampaignRecords(params, n_trials, seed).heralded():
-        for trial, *columns in runs:
-            for name, column in zip(("herald_a", "herald_b", "four_fold"), columns):
-                records[name][trial] = column
-    holds = _record_holds(params, records["herald_a"], records["herald_b"])
-    records["hold_a_ns"], records["hold_b_ns"] = holds
+    for _, _, (trial, *columns) in CampaignRecords(params, n_trials, seed).heralded():
+        for name, column in zip(TRIAL_RECORD_DTYPE.names[1:], columns):
+            records[name][trial] = column
     return CoincidenceStats.from_counts(n_trials, int(records["four_fold"].sum())), records
 
 

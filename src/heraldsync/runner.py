@@ -8,6 +8,7 @@ are a pure function of the (config, seed) pair.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from pathlib import Path
@@ -29,7 +30,6 @@ from .interference import (
 from .protocol import (
     TRIAL_RECORD_DTYPE,
     CampaignRecords,
-    _record_holds,
     enhancement_factor,  # unused; the layer trace wraps it in this namespace
     p4c_feedback_by_n,
     p4c_feedback_closed_form,
@@ -224,7 +224,8 @@ def _lines(frames: list, rows: int) -> bytes:
 
 
 def _table_blocks(columns: list):
-    """CSV lines of a generic table given by column, a block of rows at a time.
+    """CSV lines of a generic table given by column, a block of rows at a time;
+    the columns are checked on the call, before any block is formed.
 
     Each column is taken as one numpy array of bool, int or float cells; any
     other kind raises ``TypeError``, as does a list of ints that
@@ -239,37 +240,32 @@ def _table_blocks(columns: list):
         if array.dtype.kind not in "bif":
             raise TypeError(f"a table column must be bool, int64 or float64, got {array.dtype}")
     size = len(arrays[0]) if arrays else 0
-    for lo in range(0, size, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, size - lo)
-        yield _lines(_frames([array[lo : lo + rows] for array in arrays]), rows)
+    blocks = ([a[lo : lo + _BLOCK_ROWS] for a in arrays] for lo in range(0, size, _BLOCK_ROWS))
+    return (_lines(_frames(block), len(block[0])) for block in blocks)
 
 
-def _record_blocks(params, lo: int, m: int, runs):
+def _record_blocks(lo: int, m: int, run):
     """CSV lines of the trial records lo to lo + m - 1, a block of rows at a time.
 
-    ``runs`` holds the heralded trials among them, as runs of ``(trial,
-    herald_a, herald_b, four_fold)`` columns, each sorted by trial, as
-    :meth:`CampaignRecords.heralded` gives them; every other trial heralded
-    on neither node.  Everything after the trial index is a function of
-    (herald_a, herald_b, four_fold), since the hold times follow from the
-    two heralds (:func:`_record_holds`).  The rows are ranked by one key of
-    the three, which the write budget ``params.n_write_max`` bounds, and
-    each distinct suffix, the unheralded one included, goes through the
-    frame kernels once; a block starts every row at the unheralded suffix
-    and puts each heralded row's own in its place.
+    ``run`` holds the heralded trials among them, one column per record
+    field sorted by trial, as :meth:`CampaignRecords.heralded` gives them;
+    every other trial heralded on neither node.  Everything after the trial
+    index is a function of (herald_a, herald_b, four_fold), since the hold
+    times follow from the two heralds.  The rows, and one unheralded row
+    after them, are ranked by one key of the three, and each distinct
+    suffix goes through the frame kernels once; a block starts every row at
+    the unheralded suffix and puts each heralded row's own in its place.
     """
-    # the heralded rows, then one unheralded row
-    trials, *columns = zip(*runs)
-    herald_a, herald_b, four_fold = (
-        np.concatenate([*column, [fill]]) for column, fill in zip(columns, (-1, -1, False))
-    )
-    # heralds lie in [-1, N - 1], so the key stays below 2 * (N + 1)**2
-    span = params.n_write_max + 1
-    keys, inverse = _distinct(((herald_a + 1) * span + herald_b + 1) * 2 + four_fold)
+    trials, herald_a, herald_b, *_, four_fold = run
+    # heralds lie in [-1, span - 2], so the key stays below 2 * span**2; the
+    # unheralded row, key 0, comes last
+    span = int(max(herald_a.max(initial=-1), herald_b.max(initial=-1))) + 2
+    keys, inverse = _distinct(np.append(((herald_a + 1) * span + herald_b + 1) * 2 + four_fold, 0))
     row = np.empty(keys.size, dtype=np.intp)
     row[inverse] = np.arange(inverse.size)
-    a, b = herald_a[row], herald_b[row]
-    cells = [a, b, *_record_holds(params, a, b), four_fold[row]]
+    # no heralded row has key 0, so the unheralded row is the first distinct one
+    fills = (-1, -1, np.nan, np.nan, False)
+    cells = [np.append(fill, column[row[1:]]) for column, fill in zip(run[1:], fills)]
     suffixes = _lines(_frames(cells), keys.size).split(b"\n")[:-1]
     # as int64 words, so that the gather per row copies whole words
     width = max(map(len, suffixes))
@@ -277,12 +273,9 @@ def _record_blocks(params, lo: int, m: int, runs):
     words = words.reshape(keys.size, -1)
     for start in range(lo, lo + m, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, lo + m)
+        i, j = np.searchsorted(trials, (start, stop)).tolist()
         index = np.full(stop - start, inverse[-1])
-        first = 0  # the run's first row in inverse
-        for trial in trials:
-            i, j = np.searchsorted(trial, (start, stop)).tolist()
-            index[trial[i:j] - start] = inverse[first + i : first + j]
-            first += trial.size
+        index[trials[i:j] - start] = inverse[i:j]
         suffix = np.take(words, index, axis=0).view(np.uint8)[:, :width]
         yield _lines([_int_frame(np.arange(start, stop)), suffix], stop - start)
 
@@ -407,21 +400,21 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     LF newlines; floats carry at least six significant digits.  Tables are
     formatted by column, a block of rows at a time, every cell by
     :func:`_float_frame` or :func:`_int_frame`; a column of any other numpy
-    kind raises ``TypeError``.  A :class:`CampaignRecords` table is written
-    one substream at a time from its heralded trials (:func:`_record_blocks`),
-    with no per-trial record.
+    kind raises ``TypeError`` before any file is written.  A
+    :class:`CampaignRecords` table is written one substream at a time from
+    its heralded trials (:func:`_record_blocks`), with no per-trial record.
     """
+    names, data = table or ((), [])
+    if isinstance(data, CampaignRecords):
+        blocks = itertools.chain.from_iterable(itertools.starmap(_record_blocks, data.heralded()))
+    else:
+        blocks = _table_blocks(data)
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     (out_dir / SUMMARY_FILE).write_bytes(text.encode("utf-8"))
     if table is None:
         return
-    names, data = table
     with (out_dir / TABLE_FILE).open("wb") as out:
         out.write((",".join(names) + "\n").encode())
-        if isinstance(data, CampaignRecords):
-            for lo, m, runs in data.heralded():
-                out.writelines(_record_blocks(data.params, lo, m, runs))
-        else:
-            out.writelines(_table_blocks(data))
+        out.writelines(blocks)

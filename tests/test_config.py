@@ -286,12 +286,12 @@ def test_section_check_names_field_key_and_line():
 
 
 def test_key_without_line_has_no_stray_space():
-    text = "scenario = protocol_sim\nprotocol.source_a.chi = 0.05\n"
+    # an override has no line; chi without eta_as is reported at chi, the key set
     with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert err.value.key == "protocol.source_a.eta_as"
+        parse_config(MINIMAL, overrides={"protocol.source_a.chi": "0.05"})
+    assert err.value.key == "protocol.source_a.chi"
     assert err.value.line is None
-    assert str(err.value).endswith("(key: protocol.source_a.eta_as)")
+    assert str(err.value).endswith("(key: protocol.source_a.chi)")
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL, overrides={"seed": "-1"})
     assert str(err.value).endswith("(key: seed)")

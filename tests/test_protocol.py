@@ -28,6 +28,7 @@ from heraldsync.protocol import (
     CoincidenceStats,
     DecayModel,
     ProtocolParams,
+    TRIAL_RECORD_DTYPE,
     default_params,
     enhancement_factor,
     memory_retrieval_efficiency,
@@ -1013,18 +1014,52 @@ def test_dense_campaign_memory_is_one_workspace():
 
 def test_records_do_not_alias_the_campaign_workspace():
     # the substream arrays are views into a workspace that the next
-    # substream overwrites; the heralded runs must not be: one pass is held
+    # substream overwrites; the heralded run must not be: one pass is held
     # as yielded, against a second pass copied as it is drawn
     records = CampaignRecords(DENSE_DARK, 3 * SUBSTREAM_MIN + 7, seed=8)
     held = list(records.heralded())
-    copies = [
-        (lo, m, [[column.copy() for column in run] for run in runs])
-        for lo, m, runs in records.heralded()
-    ]
+    copies = [(lo, m, [column.copy() for column in run]) for lo, m, run in records.heralded()]
     assert [m for _, m, _ in held] == [SUBSTREAM_MIN] * 3 + [7]
-    for (_, _, runs), (_, _, runs_copied) in zip(held, copies, strict=True):
-        for run, run_copied in zip(runs, runs_copied, strict=True):
-            assert [c.tobytes() for c in run] == [c.tobytes() for c in run_copied]
+    for (_, _, run), (_, _, run_copied) in zip(held, copies, strict=True):
+        assert len(run) == len(TRIAL_RECORD_DTYPE.names)
+        for column, copied in zip(run, run_copied, strict=True):
+            assert column.tobytes() == copied.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params,n_trials",
+    [
+        # the default physics takes 2**18 trials per substream: two here
+        pytest.param(default_params(), 300_000, id="sparse"),
+        pytest.param(DENSE_DARK, 2 * SUBSTREAM_MIN + 5, id="dense"),
+        pytest.param(make_params(p_a=0.3, p_b=0.0), SUBSTREAM_MIN + 9, id="p_b-0"),
+        pytest.param(make_params(p_a=1.0, p_b=1.0, gamma0=0.6), SUBSTREAM_MIN + 3, id="both-p-1"),
+        pytest.param(make_params(p_a=0.3, p_b=0.05, n_write_max=1), SUBSTREAM_MIN + 11, id="n1"),
+    ],
+)
+def test_heralded_yields_one_run_of_whole_records(params, n_trials):
+    # each substream's heralded trials as one trial-sorted run of the record
+    # columns: no unheralded row, and a hold wherever both nodes heralded
+    substreams = list(CampaignRecords(params, n_trials, seed=5).heralded())
+    assert [lo for lo, _, _ in substreams] == list(range(0, n_trials, substreams[0][1]))
+    assert sum(m for _, m, _ in substreams) == n_trials
+    four_folds = 0
+    for lo, m, run in substreams:
+        assert [column.dtype for column in run] == [
+            TRIAL_RECORD_DTYPE[name] for name in TRIAL_RECORD_DTYPE.names
+        ]
+        trial, herald_a, herald_b, hold_a, hold_b, four_fold = run
+        assert all(column.shape == trial.shape for column in run)
+        assert np.all(np.diff(trial) > 0) and lo <= trial.min() and trial.max() < lo + m
+        assert herald_a.min() >= -1 and herald_b.min() >= -1
+        assert np.all((herald_a >= 0) | (herald_b >= 0))
+        missing = (herald_a == -1) | (herald_b == -1)
+        assert np.array_equal(np.isnan(hold_a), missing)
+        assert np.array_equal(np.isnan(hold_b), missing)
+        assert not four_fold[missing].any()
+        four_folds += int(four_fold.sum())
+    # the run's four-folds are the count path's
+    assert four_folds == simulate_campaign(params, n_trials, seed=5).four_fold_count
 
 
 @pytest.mark.parametrize(

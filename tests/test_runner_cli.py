@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,6 @@ from heraldsync.config import parse_config
 from heraldsync.protocol import (
     N_WRITE_MAX_CAP,
     TRIAL_RECORD_DTYPE,
-    default_params,
     simulate_campaign_records,
 )
 from heraldsync.runner import (
@@ -346,26 +344,21 @@ def record_block(heralds_a, heralds_b, four_fold_draws, first_trial=0) -> np.nda
     return records
 
 
-def heralded_runs(records) -> list:
-    """The heralded rows of these records as the writer takes them: node A's
-    heralds, then B's alone, each a run of columns sorted by trial."""
-    herald_a, herald_b = records["herald_a"], records["herald_b"]
-    runs = []
-    for rows in (records[herald_a >= 0], records[(herald_a < 0) & (herald_b >= 0)]):
-        runs.append(tuple(rows[name] for name in ("trial", "herald_a", "herald_b", "four_fold")))
-    return runs
+def heralded_run(records) -> tuple:
+    """The heralded rows of these records as the writer takes them: one run
+    of the record columns, sorted by trial."""
+    rows = records[(records["herald_a"] >= 0) | (records["herald_b"] >= 0)]
+    return tuple(rows[name] for name in TRIAL_RECORD_DTYPE.names)
 
 
 def written_records(records, spans) -> list:
-    """The record writer's lines for these records (holds as under the default
-    params, whose timing keys set them), given one trial span ``(lo, m)`` at a
-    time, split at each newline; heralds may reach the largest write budget."""
-    params = replace(default_params(), n_write_max=N_WRITE_MAX_CAP)
+    """The record writer's lines for these records, given one trial span
+    ``(lo, m)`` at a time, split at each newline."""
     lines = []
     for lo, m in spans:
         span = records[(records["trial"] >= lo) & (records["trial"] < lo + m)]
         assert span["trial"].tolist() == list(range(lo, lo + m))
-        lines += _record_blocks(params, lo, m, heralded_runs(span))
+        lines += _record_blocks(lo, m, heralded_run(span))
     return b"".join(lines).decode().split("\n")
 
 
@@ -546,6 +539,8 @@ def test_generic_table_rejects_a_column_of_other_kind(tmp_path, column):
     doc, _ = run_text("scenario = enhancement\n")
     with pytest.raises(TypeError, match="column"):
         emit_outputs(doc, (("x", "y"), [[0.5, 1.5], column]), tmp_path)
+    # every column is checked before either file is written
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generic_table_list_of_ints_and_floats_is_float64(tmp_path):
@@ -752,6 +747,22 @@ def test_cli_rejects_unreachable_p_as_in_every_scenario(tmp_path, capsys, scenar
     cfg = write_config(tmp_path, text)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "(key: protocol.source_a.p_as line: 3)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        # p_as keeps its default, which eta_as = 0 cannot reach
+        ("protocol.source_b.eta_as", "0"),
+        # chi without eta_as
+        ("protocol.source_a.chi", "0.05"),
+    ],
+)
+def test_cli_reports_a_source_join_at_the_key_that_was_set(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, f"scenario = enhancement\n{key} = {value}\n")
+    assert main(["enhancement", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.endswith(f"(key: {key} line: 2)\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -8,9 +8,9 @@ values, the run keeps the exit-code contract:
 * exit 0 writes finite metrics and finite table cells, and nothing on
   stderr; a record table's hold of a trial that did not herald on both
   nodes is NaN by design, and ``n_sigma`` may be the string ``"inf"``;
-* exit 2 names a key that was set, or, where a source's ``p_as``, ``chi``
+* exit 2 names a key that was set, also where a source's ``p_as``, ``chi``
   and ``eta_as`` do not join (``chi`` without ``eta_as``, or a ``p_as``
-  that ``eta_as`` cannot reach), one of those while another was set;
+  that ``eta_as`` cannot reach);
 * exit 4 comes only from the conditions that join several keys.
 
 A ``protocol_sim`` run's four-fold count must also lie within either tail
@@ -88,17 +88,9 @@ def settings_of_keys(draw) -> dict:
 
 
 def _names_a_set_key(err: str, setting: dict) -> bool:
-    """Whether a config error names a key that was set, or, for a condition
-    that joins a source's ``p_as``, ``chi`` and ``eta_as``, one of them
-    while another was set."""
+    """Whether a config error names a key that was set."""
     named = err.split("(key: ", 1)[1].split(")")[0].split(" line: ")[0]
-    if named in setting:
-        return True
-    joins = ("eta_as is required when the source is given by chi", "is not reachable for eta_as")
-    source, _, _ = named.rpartition(".")
-    return any(join in err for join in joins) and any(
-        f"{source}.{name}" in setting for name in ("p_as", "chi", "eta_as")
-    )
+    return named in setting
 
 
 def _finite_cells(table: Path, record: bool) -> None:
