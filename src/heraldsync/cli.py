@@ -35,45 +35,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    given = {"seed": args.seed, "trials": args.trials, "output_path": args.out}
+    overrides = {key: str(value) for key, value in given.items() if value is not None}
 
+    # The handlers are the exit-code table, in order: a config error or a
+    # config that is not UTF-8 (both ValueErrors) is 2, an I/O error, whose
+    # text names the path, 3, and any other ValueError 4.
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.trials is not None:
-        overrides["trials"] = str(args.trials)
-    if args.out is not None:
-        overrides["output_path"] = args.out
-
-    try:
         config = parse_config(text, overrides=overrides)
-    except ConfigError as exc:
+        if config.scenario.value != args.scenario:
+            raise ConfigError(
+                f"config declares scenario '{config.scenario.value}' "
+                f"but '{args.scenario}' was requested"
+            )
+        doc, table = run_scenario(config)
+        emit_outputs(doc, table, config.output_path)
+    except (ConfigError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if config.scenario.value != args.scenario:
-        print(
-            f"config error: config declares scenario '{config.scenario.value}' "
-            f"but '{args.scenario}' was requested",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-
-    try:
-        doc, table = run_scenario(config)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-
-    try:
-        emit_outputs(doc, table, config.output_path)
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
 
     headline = ", ".join(f"{k}={v}" for k, v in doc["metrics"].items())
     print(f"{doc['scenario']}: {headline}")

@@ -37,6 +37,9 @@ __all__ = [
 DEFAULT_SEED = 0
 #: Largest ``hom.points`` accepted; the scan allocates and writes its grid.
 HOM_POINTS_CAP = 1_000_000
+# Longest sweep list: the enhancement table, one row per pair of entries,
+# stays within HOM_POINTS_CAP rows, as the HOM scan does.
+_LIST_CAP = math.isqrt(HOM_POINTS_CAP)
 
 
 class ConfigError(ValueError):
@@ -149,7 +152,15 @@ def _parse_int_in(low: int, high: int) -> Callable[[str], int]:
 
 
 def _parse_list(item: Callable[[str], Any]) -> Callable[[str], tuple]:
-    return lambda text: tuple(item(part.strip()) for part in text.split(","))
+    """Parser of a comma-separated list of at most ``_LIST_CAP`` entries,
+    counted before any entry is parsed."""
+
+    def parse(text: str) -> tuple:
+        if text.count(",") >= _LIST_CAP:
+            raise ValueError(f"expected at most {_LIST_CAP} entries, got {text.count(',') + 1}")
+        return tuple(item(part.strip()) for part in text.split(","))
+
+    return parse
 
 
 def _parse_like(default: Any) -> Callable[[str], Any]:
@@ -289,6 +300,8 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> RunCo
     resolved = {key: default for key, (_, default) in _KEYS.items()}
     for key, (raw, line_no) in pairs.items():
         try:
+            if "\0" in raw:  # no OS path can hold one, and no other value needs one
+                raise ValueError("a value may not hold a NUL byte")
             resolved[key] = _KEYS[key][0](raw)
         except ValueError as exc:
             raise ConfigError(str(exc), key=key, line=line_no) from exc

@@ -223,14 +223,16 @@ def _lines(frames: list, rows: int) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _table_blocks(columns: list):
+def _table_blocks(names: tuple, columns: list):
     """CSV lines of a generic table given by column, a block of rows at a time;
     the columns are checked on the call, before any block is formed.
 
     Each column is taken as one numpy array of bool, int or float cells; any
     other kind raises ``TypeError``, as does a list of ints that
     ``np.asarray`` rounds to float64 (one at 2**63 or beyond among smaller
-    ones).  A list that mixes ints and floats is float64.
+    ones).  A list that mixes ints and floats is float64.  Columns of
+    another shape than the first one's ``(n,)``, or another number of them
+    than of ``names``, raise ``ValueError``.
     """
     arrays = [np.asarray(column) for column in columns]
     for column, array in zip(columns, arrays):
@@ -239,7 +241,10 @@ def _table_blocks(columns: list):
                 raise TypeError("a table column of ints must type as int64, got float64")
         if array.dtype.kind not in "bif":
             raise TypeError(f"a table column must be bool, int64 or float64, got {array.dtype}")
-    size = len(arrays[0]) if arrays else 0
+    shapes = list(map(np.shape, arrays))
+    size = arrays[0].size if arrays else 0
+    if len(names) != len(arrays) or set(shapes) - {(size,)}:
+        raise ValueError(f"table names {names} do not fit columns of shapes {shapes}")
     blocks = ([a[lo : lo + _BLOCK_ROWS] for a in arrays] for lo in range(0, size, _BLOCK_ROWS))
     return (_lines(_frames(block), len(block[0])) for block in blocks)
 
@@ -400,7 +405,8 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     LF newlines; floats carry at least six significant digits.  Tables are
     formatted by column, a block of rows at a time, every cell by
     :func:`_float_frame` or :func:`_int_frame`; a column of any other numpy
-    kind raises ``TypeError`` before any file is written.  A
+    kind raises ``TypeError``, and columns that differ in shape or from the
+    names in number ``ValueError``, before any file is written.  A
     :class:`CampaignRecords` table is written one substream at a time from
     its heralded trials (:func:`_record_blocks`), with no per-trial record.
     """
@@ -408,7 +414,7 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     if isinstance(data, CampaignRecords):
         blocks = itertools.chain.from_iterable(itertools.starmap(_record_blocks, data.heralded()))
     else:
-        blocks = _table_blocks(data)
+        blocks = _table_blocks(names, data)
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)

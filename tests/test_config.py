@@ -240,6 +240,13 @@ def test_override_bad_value():
         parse_config(MINIMAL, overrides={"seed": "fast"})
 
 
+def test_override_with_a_nul_byte_names_its_key():
+    # checked as a value written in the file is, before any path is used
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL, overrides={"output_path": "a\0b"})
+    assert err.value.key == "output_path" and err.value.line is None
+
+
 def test_defaults_are_the_shipped_profile():
     config = parse_config(MINIMAL)
     assert config.protocol == default_params()

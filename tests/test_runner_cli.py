@@ -543,6 +543,27 @@ def test_generic_table_rejects_a_column_of_other_kind(tmp_path, column):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "names,columns",
+    [
+        # a one-row column would broadcast over the others
+        pytest.param(("x", "y"), [np.arange(4), np.array([7.0])], id="short-column"),
+        # the mismatch in a later block of rows
+        pytest.param(("x", "y"), [np.arange(5000), np.array([7.0])], id="short-across-blocks"),
+        pytest.param(("x", "y"), [np.arange(3), np.zeros((3, 2))], id="two-dimensional"),
+        pytest.param(("x", "y"), [np.zeros((3, 2)), np.arange(3)], id="two-dimensional-first"),
+        pytest.param(("a",), [np.arange(2), np.arange(2)], id="fewer-names"),
+        pytest.param(("a", "b"), [np.arange(2)], id="more-names"),
+    ],
+)
+def test_generic_table_rejects_columns_that_disagree(tmp_path, names, columns):
+    doc, _ = run_text("scenario = enhancement\n")
+    with pytest.raises(ValueError, match="table names"):
+        emit_outputs(doc, (names, columns), tmp_path)
+    # the shapes and the names are checked before either file is written
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generic_table_list_of_ints_and_floats_is_float64(tmp_path):
     assert emitted_table(tmp_path, ("x",), [[1, 2.5]]) == ["x", "1", "2.5", ""]
 
@@ -698,6 +719,30 @@ def test_cli_missing_config_file(tmp_path):
     assert main(["chsh", "--config", str(tmp_path / "nope.cfg")]) == 3
 
 
+def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("scenario = chsh\n# café\n".encode("latin-1"))
+    assert main(["chsh", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_output_under_a_file_is_an_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "scenario = chsh\n")
+    (tmp_path / "file").write_text("")
+    assert main(["chsh", "--config", cfg, "--out", str(tmp_path / "file" / "out")]) == 3
+    # the OS error text names the path
+    assert str(tmp_path / "file" / "out") in capsys.readouterr().err
+
+
+def test_cli_rejects_a_nul_byte_in_a_value(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, "scenario = chsh\noutput_path = a\0b\n")
+    assert main(["chsh", "--config", "run.cfg"]) == 2
+    assert capsys.readouterr().err.endswith("(key: output_path line: 2)\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_cli_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "scenario = chsh\nbogus = 1\n")
     assert main(["chsh", "--config", cfg]) == 2
@@ -832,6 +877,20 @@ def test_cli_rejects_bad_sweep_values(tmp_path, capsys, key, value):
     assert main(["enhancement", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"(key: {key} line: 2)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key,entry", [("enhancement.tau_c_us_list", "12.5"), ("enhancement.n_write_max_list", "3")]
+)
+def test_cli_caps_each_sweep_list(tmp_path, capsys, key, entry):
+    # the table has a row per pair of entries, so each list holds at most 1000
+    cfg = write_config(tmp_path, f"scenario = enhancement\n{key} = {', '.join([entry] * 1001)}\n")
+    assert main(["enhancement", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.endswith(f"(key: {key} line: 2)\n")
+    assert not (tmp_path / "out").exists()
+    cfg = write_config(tmp_path, f"scenario = enhancement\n{key} = {', '.join([entry] * 1000)}\n")
+    assert main(["enhancement", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "table.csv").read_text().splitlines()) == 1001
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,9 @@ def test_every_fuzzed_key_has_a_domain():
 @example(Scenario.PROTOCOL_SIM, {"protocol.source_b.p_as": "0.5", "protocol.source_b.eta_as": "1"})
 @example(Scenario.ENHANCEMENT, {"protocol.source_a.chi": "1e-17"})
 @example(Scenario.ENHANCEMENT, {"protocol.source_b.eta_as": "0"})
+# a sweep list one entry over its cap
+@example(Scenario.ENHANCEMENT, {"enhancement.n_write_max_list": ", ".join(["1"] * 1001)})
+@example(Scenario.ENHANCEMENT, {"enhancement.tau_c_us_list": ", ".join(["12"] * 1001)})
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(st.sampled_from(Scenario), settings_of_keys())
 def test_cli_keeps_its_exit_contract(scenario, setting):
