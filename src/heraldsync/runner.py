@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 from typing import Any
 
@@ -65,6 +66,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _BLOCK_ROWS = 2048
+_TRIAL_ROWS = 2000  # divides 10**4, so no block of records straddles a multiple of it
 
 
 def _word(byte_values) -> int:
@@ -185,6 +187,34 @@ def _int_frame(values: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)[:, 1 : 2 + 2 * pairs]
 
 
+@functools.cache
+def _low_digits() -> np.ndarray:
+    """Int64 words of the four digits of each of 0..9999, zeros leading."""
+    adjacent, _, _ = _digit_pairs()
+    return (adjacent[:, None] + adjacent * 2**16).ravel()
+
+
+def _trial_frame(start: int, stop: int) -> np.ndarray:
+    """``str(t)`` of each trial index t in [start, stop), as rows of NUL-padded
+    bytes, where no multiple of 10**4 lies in (start, stop).
+
+    From 1 000 on, a row is a NUL, the block's one prefix ``str(t // 10**4)``
+    (none below 10**4), then the low four digits of t as its last word.  The
+    NUL keeps a frame of four digits five bytes wide, as :func:`_int_frame`
+    makes it: :func:`_lines` would copy a four-byte one with a numpy loop that
+    no other frame uses, and mapping that code reads as higher peak RSS.
+    """
+    if start < 1000:
+        return _int_frame(np.arange(start, stop))
+    head = b"\0" + (str(start // 10**4).encode() if start >= 10**4 else b"")
+    pad = -len(head) % 8
+    head = bytes(pad) + head
+    words = np.empty((stop - start, len(head) // 8 + 1), dtype=np.int64)
+    words[:, :-1] = [_word(head[k : k + 8]) for k in range(0, len(head), 8)]
+    words[:, -1] = _low_digits()[start % 10**4 : (stop - 1) % 10**4 + 1]
+    return words.view(np.uint8)[:, pad : len(head) + 4]
+
+
 def _frames(columns: list) -> list:
     """Each column's rows of NUL-padded bytes; one unpadded row for a broadcast one.
 
@@ -227,24 +257,24 @@ def _table_blocks(names: tuple, columns: list):
     """CSV lines of a generic table given by column, a block of rows at a time;
     the columns are checked on the call, before any block is formed.
 
+    Columns of another shape than the first one's ``(n,)``, or another
+    number of them than of ``names``, raise ``ValueError``, checked first.
     Each column is taken as one numpy array of bool, int or float cells; any
     other kind raises ``TypeError``, as does a list of ints that
     ``np.asarray`` rounds to float64 (one at 2**63 or beyond among smaller
-    ones).  A list that mixes ints and floats is float64.  Columns of
-    another shape than the first one's ``(n,)``, or another number of them
-    than of ``names``, raise ``ValueError``.
+    ones).  A list that mixes ints and floats is float64.
     """
     arrays = [np.asarray(column) for column in columns]
+    shapes = list(map(np.shape, arrays))
+    size = arrays[0].size if arrays else 0
+    if len(names) != len(arrays) or set(shapes) - {(size,)}:
+        raise ValueError(f"table names {names} do not fit columns of shapes {shapes}")
     for column, array in zip(columns, arrays):
         if array.dtype.kind == "f" and not isinstance(column, np.ndarray):
             if not any(isinstance(cell, (float, np.floating)) for cell in column):
                 raise TypeError("a table column of ints must type as int64, got float64")
         if array.dtype.kind not in "bif":
             raise TypeError(f"a table column must be bool, int64 or float64, got {array.dtype}")
-    shapes = list(map(np.shape, arrays))
-    size = arrays[0].size if arrays else 0
-    if len(names) != len(arrays) or set(shapes) - {(size,)}:
-        raise ValueError(f"table names {names} do not fit columns of shapes {shapes}")
     blocks = ([a[lo : lo + _BLOCK_ROWS] for a in arrays] for lo in range(0, size, _BLOCK_ROWS))
     return (_lines(_frames(block), len(block[0])) for block in blocks)
 
@@ -258,8 +288,9 @@ def _record_blocks(lo: int, m: int, run):
     index is a function of (herald_a, herald_b, four_fold), since the hold
     times follow from the two heralds.  The rows, and one unheralded row
     after them, are ranked by one key of the three, and each distinct
-    suffix goes through the frame kernels once; a block starts every row at
-    the unheralded suffix and puts each heralded row's own in its place.
+    suffix goes through the frame kernels once; a block, cut at the multiples
+    of ``_TRIAL_ROWS`` trials, starts every row at the unheralded suffix and
+    puts each heralded row's own in its place.
     """
     trials, herald_a, herald_b, *_, four_fold = run
     # heralds lie in [-1, span - 2], so the key stays below 2 * span**2; the
@@ -276,13 +307,13 @@ def _record_blocks(lo: int, m: int, run):
     width = max(map(len, suffixes))
     words = np.array(suffixes, dtype=f"S{-(-width // 8) * 8}").view(np.int64)
     words = words.reshape(keys.size, -1)
-    for start in range(lo, lo + m, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, lo + m)
+    for cut in range(lo - lo % _TRIAL_ROWS, lo + m, _TRIAL_ROWS):
+        start, stop = max(cut, lo), min(cut + _TRIAL_ROWS, lo + m)
         i, j = np.searchsorted(trials, (start, stop)).tolist()
         index = np.full(stop - start, inverse[-1])
         index[trials[i:j] - start] = inverse[i:j]
         suffix = np.take(words, index, axis=0).view(np.uint8)[:, :width]
-        yield _lines([_int_frame(np.arange(start, stop)), suffix], stop - start)
+        yield _lines([_trial_frame(start, stop), suffix], stop - start)
 
 
 def _run_enhancement(config: RunConfig) -> tuple[dict[str, Any], tuple]:
@@ -399,16 +430,31 @@ def run_scenario(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
     return doc, table
 
 
+def _write_over(path: Path, chunks) -> None:
+    """Write the chunks over the file at ``path``, and cut it where they end.
+
+    The file is not truncated on opening, so a rerun rewrites its blocks in
+    place; a chunk that raises leaves exactly the bytes written before it.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        try:
+            out.writelines(chunks)
+        finally:
+            out.truncate()
+
+
 def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> None:
     """Write summary.json (and table.csv when present) under ``path``.
 
     LF newlines; floats carry at least six significant digits.  Tables are
     formatted by column, a block of rows at a time, every cell by
-    :func:`_float_frame` or :func:`_int_frame`; a column of any other numpy
-    kind raises ``TypeError``, and columns that differ in shape or from the
-    names in number ``ValueError``, before any file is written.  A
+    :func:`_float_frame` or :func:`_int_frame`; columns that differ in shape
+    or from the names in number raise ``ValueError``, and a column of any
+    other numpy kind ``TypeError``, before any file is written.  A
     :class:`CampaignRecords` table is written one substream at a time from
     its heralded trials (:func:`_record_blocks`), with no per-trial record.
+    Each file is written over the one already at its path; without a table,
+    a table.csv left there by an earlier run is removed.
     """
     names, data = table or ((), [])
     if isinstance(data, CampaignRecords):
@@ -418,9 +464,9 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / SUMMARY_FILE).write_bytes(text.encode("utf-8"))
+    _write_over(out_dir / SUMMARY_FILE, [text.encode("utf-8")])
     if table is None:
+        (out_dir / TABLE_FILE).unlink(missing_ok=True)
         return
-    with (out_dir / TABLE_FILE).open("wb") as out:
-        out.write((",".join(names) + "\n").encode())
-        out.writelines(blocks)
+    header = (",".join(names) + "\n").encode()
+    _write_over(out_dir / TABLE_FILE, itertools.chain([header], blocks))

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heraldsync
+from heraldsync import runner
 from heraldsync.cli import main
 from heraldsync.config import parse_config
 from heraldsync.protocol import (
@@ -423,6 +424,20 @@ def record_case(case: str) -> np.ndarray:
     )
 
 
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    st.sampled_from([1000, 10**4, 10**5, 2**40]),
+    st.integers(-2500, 2500),
+    st.integers(1, 4500),
+)
+def test_record_trial_column_matches_str(anchor, offset, m):
+    # blocks on both sides of trial 1000, of a new prefix digit and of 2**40
+    lo = max(anchor + offset, 0)
+    lines = b"".join(_record_blocks(lo, m, heralded_run(record_block([], [], []))))
+    trials = [line.split(b",")[0].decode() for line in lines.split(b"\n")[:-1]]
+    assert trials == [str(t) for t in range(lo, lo + m)]
+
+
 @pytest.mark.parametrize("case", ["empty", "one-row", "identical", "distinct", "edges", "widest"])
 def test_record_block_matches_per_cell_formatting(case):
     block = record_case(case)
@@ -564,6 +579,14 @@ def test_generic_table_rejects_columns_that_disagree(tmp_path, names, columns):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generic_table_scalar_column_is_named_by_its_shape(tmp_path):
+    # the shape is checked before a list column's cells are scanned
+    doc, _ = run_text("scenario = enhancement\n")
+    with pytest.raises(ValueError, match=r"shapes \[\(\)\]"):
+        emit_outputs(doc, (("a",), [np.float64(3.0)]), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generic_table_list_of_ints_and_floats_is_float64(tmp_path):
     assert emitted_table(tmp_path, ("x",), [[1, 2.5]]) == ["x", "1", "2.5", ""]
 
@@ -659,6 +682,76 @@ def test_rerun_byte_identical(tmp_path):
     second = tmp_path / "second"
     assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
     assert (first / "table.csv").read_bytes() == (second / "table.csv").read_bytes()
+
+
+def sweep(taus: int, ns: int) -> str:
+    tau_list = ", ".join(str(2.0 + k) for k in range(taus))
+    n_list = ", ".join(str(1 + k) for k in range(ns))
+    return (
+        "scenario = enhancement\n"
+        f"enhancement.tau_c_us_list = {tau_list}\nenhancement.n_write_max_list = {n_list}\n"
+    )
+
+
+def output_bytes(directory) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "longer,shorter",
+    [
+        pytest.param(RECORDS + "trials = 30000\n", RECORDS + "trials = 20000\n", id="records"),
+        pytest.param(sweep(40, 40), sweep(3, 3), id="sweep"),
+        pytest.param(
+            "scenario = chsh\nchsh.mode = sampled\nchsh.n_events = 5000\n",
+            "scenario = chsh\n",
+            id="chsh-sampled-then-analytic",
+        ),
+    ],
+)
+def test_rerun_over_longer_outputs_matches_a_fresh_run(tmp_path, longer, shorter):
+    # each file is written over the longer one in place and cut where it ends
+    emit_outputs(*run_text(longer), tmp_path / "rerun")
+    before = output_bytes(tmp_path / "rerun")
+    emit_outputs(*run_text(shorter), tmp_path / "rerun")
+    emit_outputs(*run_text(shorter), tmp_path / "fresh")
+    after = output_bytes(tmp_path / "rerun")
+    assert after == output_bytes(tmp_path / "fresh")
+    assert len(after["table.csv"]) < len(before["table.csv"])
+
+
+def test_table_that_raises_leaves_the_bytes_written(tmp_path, monkeypatch):
+    # over a larger table.csv, a block that raises after the first one leaves
+    # the header and that block, with no tail of the old file
+    doc, _ = run_text("scenario = enhancement\n")
+    columns = [np.arange(5000), np.linspace(0.0, 1.0, 5000)]
+    emit_outputs(doc, (("n", "x"), columns), tmp_path / "whole")
+    lines = (tmp_path / "whole" / "table.csv").read_bytes().split(b"\n")
+    written = b"\n".join(lines[: 1 + runner._BLOCK_ROWS]) + b"\n"
+    (tmp_path / "cut").mkdir()
+    (tmp_path / "cut" / "table.csv").write_bytes(b"#" * 10**6)
+    calls = []
+    lines_of = runner._lines
+
+    def failing_lines(frames, rows):
+        calls.append(rows)
+        if len(calls) > 1:
+            raise RuntimeError("block failed")
+        return lines_of(frames, rows)
+
+    monkeypatch.setattr(runner, "_lines", failing_lines)
+    with pytest.raises(RuntimeError, match="block failed"):
+        emit_outputs(doc, (("n", "x"), columns), tmp_path / "cut")
+    assert (tmp_path / "cut" / "table.csv").read_bytes() == written
+
+
+def test_cli_rerun_without_a_table_removes_table_csv(tmp_path):
+    out = tmp_path / "out"
+    for text in (RECORDS + "trials = 1000\n", "scenario = protocol_sim\ntrials = 1000\n"):
+        cfg = write_config(tmp_path, text)
+        assert main(["protocol_sim", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "table.csv").exists() == ("record_trials" in text)
+    assert [path.name for path in out.iterdir()] == ["summary.json"]
 
 
 # ---------------------------------------------------------------------------
