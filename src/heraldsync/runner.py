@@ -11,7 +11,6 @@ import functools
 import itertools
 import json
 import math
-import os
 from pathlib import Path
 from typing import Any
 
@@ -65,8 +64,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(values, return_inverse=True)
 
 
-_BLOCK_ROWS = 2048
-_TRIAL_ROWS = 2000  # divides 10**4, so no block of records straddles a multiple of it
+_BLOCK_ROWS = 2000  # divides 10**4, so no block of records straddles a multiple of it
 
 
 def _word(byte_values) -> int:
@@ -289,7 +287,7 @@ def _record_blocks(lo: int, m: int, run):
     times follow from the two heralds.  The rows, and one unheralded row
     after them, are ranked by one key of the three, and each distinct
     suffix goes through the frame kernels once; a block, cut at the multiples
-    of ``_TRIAL_ROWS`` trials, starts every row at the unheralded suffix and
+    of ``_BLOCK_ROWS`` trials, starts every row at the unheralded suffix and
     puts each heralded row's own in its place.
     """
     trials, herald_a, herald_b, *_, four_fold = run
@@ -307,8 +305,8 @@ def _record_blocks(lo: int, m: int, run):
     width = max(map(len, suffixes))
     words = np.array(suffixes, dtype=f"S{-(-width // 8) * 8}").view(np.int64)
     words = words.reshape(keys.size, -1)
-    for cut in range(lo - lo % _TRIAL_ROWS, lo + m, _TRIAL_ROWS):
-        start, stop = max(cut, lo), min(cut + _TRIAL_ROWS, lo + m)
+    for cut in range(lo - lo % _BLOCK_ROWS, lo + m, _BLOCK_ROWS):
+        start, stop = max(cut, lo), min(cut + _BLOCK_ROWS, lo + m)
         i, j = np.searchsorted(trials, (start, stop)).tolist()
         index = np.full(stop - start, inverse[-1])
         index[trials[i:j] - start] = inverse[i:j]
@@ -430,19 +428,6 @@ def run_scenario(config: RunConfig) -> tuple[dict[str, Any], tuple | None]:
     return doc, table
 
 
-def _write_over(path: Path, chunks) -> None:
-    """Write the chunks over the file at ``path``, and cut it where they end.
-
-    The file is not truncated on opening, so a rerun rewrites its blocks in
-    place; a chunk that raises leaves exactly the bytes written before it.
-    """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
-        try:
-            out.writelines(chunks)
-        finally:
-            out.truncate()
-
-
 def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> None:
     """Write summary.json (and table.csv when present) under ``path``.
 
@@ -453,8 +438,7 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     other numpy kind ``TypeError``, before any file is written.  A
     :class:`CampaignRecords` table is written one substream at a time from
     its heralded trials (:func:`_record_blocks`), with no per-trial record.
-    Each file is written over the one already at its path; without a table,
-    a table.csv left there by an earlier run is removed.
+    Without a table, a table.csv left under ``path`` by an earlier run is removed.
     """
     names, data = table or ((), [])
     if isinstance(data, CampaignRecords):
@@ -464,9 +448,10 @@ def emit_outputs(doc: dict[str, Any], table: tuple | None, path: str | Path) -> 
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_over(out_dir / SUMMARY_FILE, [text.encode("utf-8")])
+    (out_dir / SUMMARY_FILE).write_bytes(text.encode("utf-8"))
     if table is None:
         (out_dir / TABLE_FILE).unlink(missing_ok=True)
         return
-    header = (",".join(names) + "\n").encode()
-    _write_over(out_dir / TABLE_FILE, itertools.chain([header], blocks))
+    with (out_dir / TABLE_FILE).open("wb") as out:
+        out.write((",".join(names) + "\n").encode())
+        out.writelines(blocks)

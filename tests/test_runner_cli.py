@@ -411,9 +411,10 @@ def record_case(case: str) -> np.ndarray:
         return record_block(heralds_a, rng.permutation(heralds_a), rng.random(3000) < 0.5)
     if case == "edges":
         # unheralded but for A alone, B alone and both, on each side of a
-        # window edge (2048 and 4096 into a span) and of the span edge at 5000
+        # block edge (the multiples of 2 000 trials, one of them inside the
+        # second span) and of the span edge at 5000
         heralds_a, heralds_b = np.full(9000, -1), np.full(9000, -1)
-        for at, (a, b) in zip([2047, 2048, 4095, 4096, 4999, 5000, 7047, 7048, 8999],
+        for at, (a, b) in zip([1999, 2000, 3999, 4000, 4999, 5000, 5999, 6000, 8999],
                               [(3, -1), (-1, 7), (2, 5), (6, 6), (-1, 0), (0, -1), (1, 4),
                                (9, 2), (11, -1)]):
             heralds_a[at], heralds_b[at] = a, b
@@ -705,7 +706,7 @@ def output_bytes(directory) -> dict:
     ],
 )
 def test_rerun_over_longer_outputs_matches_a_fresh_run(tmp_path, longer, shorter):
-    # each file is written over the longer one in place and cut where it ends
+    # each file is written over the longer one and ends where the new bytes end
     emit_outputs(*run_text(longer), tmp_path / "rerun")
     before = output_bytes(tmp_path / "rerun")
     emit_outputs(*run_text(shorter), tmp_path / "rerun")
