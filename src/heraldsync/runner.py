@@ -64,7 +64,8 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(values, return_inverse=True)
 
 
-_BLOCK_ROWS = 2000  # divides 10**4, so no block of records straddles a multiple of it
+_BLOCK_ROWS = 2048
+_TRIAL_ROWS = 2000  # divides 10**4, so no block of records straddles a multiple of it
 
 
 def _word(byte_values) -> int:
@@ -287,7 +288,7 @@ def _record_blocks(lo: int, m: int, run):
     times follow from the two heralds.  The rows, and one unheralded row
     after them, are ranked by one key of the three, and each distinct
     suffix goes through the frame kernels once; a block, cut at the multiples
-    of ``_BLOCK_ROWS`` trials, starts every row at the unheralded suffix and
+    of ``_TRIAL_ROWS`` trials, starts every row at the unheralded suffix and
     puts each heralded row's own in its place.
     """
     trials, herald_a, herald_b, *_, four_fold = run
@@ -305,8 +306,8 @@ def _record_blocks(lo: int, m: int, run):
     width = max(map(len, suffixes))
     words = np.array(suffixes, dtype=f"S{-(-width // 8) * 8}").view(np.int64)
     words = words.reshape(keys.size, -1)
-    for cut in range(lo - lo % _BLOCK_ROWS, lo + m, _BLOCK_ROWS):
-        start, stop = max(cut, lo), min(cut + _BLOCK_ROWS, lo + m)
+    for cut in range(lo - lo % _TRIAL_ROWS, lo + m, _TRIAL_ROWS):
+        start, stop = max(cut, lo), min(cut + _TRIAL_ROWS, lo + m)
         i, j = np.searchsorted(trials, (start, stop)).tolist()
         index = np.full(stop - start, inverse[-1])
         index[trials[i:j] - start] = inverse[i:j]
