@@ -15,10 +15,10 @@ over the heralded excitation shape q, which reduces to gamma(t) for a
 single-excitation memory.  All three take hold times from :func:`_holds`.
 Both closed forms and the campaign share the read success at a hold,
 :func:`_wait_success`: the campaign draws one uniform per jointly
-heralded trial against its product at the trial's gap, and draws node B's
-heralds over node A's heralded trials, so that no intersection finds the
-joint ones.  The
-trial alone samples retrieval excitation by excitation (:func:`_retrieved`),
+heralded trial against its product at the trial's gap.  It draws node A's
+herald count alone and node B's heralds over A's heralds, so that no
+intersection finds the joint ones, and A's herald trials only for records.
+The trial alone samples retrieval excitation by excitation (:func:`_retrieved`),
 as an independent check.
 """
 
@@ -461,16 +461,66 @@ def _workspace(*fields) -> list:
     return [block[lo : lo + dtype.itemsize * n].view(dtype) for lo, dtype, n in spans]
 
 
+def _attempts(rng: np.random.Generator, p: float, n_max: int, u, out) -> np.ndarray:
+    """Write into ``out`` the attempt index of one herald per entry.
+
+    Each follows the geometric law truncated to ``n_max`` attempts, P(k) =
+    p q**k / P with q = 1 - p and P = 1 - q**n_max.  One uniform U per
+    herald, drawn into ``u`` (float64, as long as ``out``), inverts its CDF
+    (1 - q**(k+1))/P: k = floor(-log1p(-U*P)/lambda) with lambda = -log q,
+    below n_max and clipped to n_max - 1 against rounding.  Unlike E mod
+    n_max*lambda for an exponential E, it does not run out of E's bits once
+    n_max*lambda is below E's last place.  At p = 1 every herald is at
+    attempt 0 and nothing is drawn.
+    """
+    if p >= 1.0:
+        out[...] = 0
+        return out
+    rng.random(out=u)
+    np.log1p(np.multiply(u, -_herald_within(p, n_max), out=u), out=u)
+    np.divide(u, math.log1p(-p), out=u)
+    np.copyto(out, u, casting="unsafe")  # the cast of u >= 0 is its floor
+    return np.minimum(out, n_max - 1, out=out)
+
+
+def _herald_trials(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """A sorted uniform ``n``-subset of the trials 0 to m - 1, in O(n) memory.
+
+    Up to n = m/16, n uniform draws are sorted and each repeat is drawn
+    again, until none is left; at most 1/32 of the draws repeat per round.
+    Past that, uniform draws mark a mask, m bytes or 16 per chosen trial,
+    until n trials are marked, or past m/2 until the m - n trials left out
+    are.  Either way every round draws only what is still missing and
+    treats all trials alike, so every subset of the final size is equally
+    likely.
+    """
+    if 16 * n <= m:
+        trials = np.sort(rng.integers(m, size=n))
+        while repeats := np.count_nonzero(same := trials[1:] == trials[:-1]):
+            fresh = rng.integers(m, size=repeats)
+            trials = np.sort(np.concatenate([trials[:-1][~same], trials[-1:], fresh]))
+        return trials
+    marks = min(n, m - n)
+    marked = np.zeros(m, dtype=bool)
+    count = 0
+    while count < marks:
+        marked[rng.integers(m, size=marks - count)] = True
+        count = np.count_nonzero(marked)
+    return np.flatnonzero(marked if marks == n else ~marked)
+
+
 def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterator[tuple]:
-    """Yield ``(offset, size, rng, heralds_a, in_a, att_b, four_fold)`` per substream.
+    """Yield ``(offset, size, rng, n_a, in_a, (att_a, att_b), four_fold)`` per substream.
 
     Substream c covers :func:`_substream_trials` trials from c times that
-    and draws from the generator (seed, c): node A's ``(positions,
-    attempts)``, then node B's over A's heralded trials, whose indices
-    ``in_a`` are the joint trials, and B's attempts ``att_b`` there, then
-    one uniform per joint trial against :func:`_four_fold_table` at its
-    signed gap.  ``rng`` is handed on: B's heralds on A's empty trials,
-    which no count needs, come next.
+    and draws from the generator (seed, c): node A's herald count n_a, one
+    Binomial(size, 1 - (1-p_a)**N) draw, then node B's heralds over A's
+    n_a heralds, whose indices ``in_a`` are the joint ones and ``att_b``
+    B's attempts there, then A's attempt at each joint herald
+    (:func:`_attempts`), then one uniform per joint herald against
+    :func:`_four_fold_table` at its signed gap.  Which trials A heralded,
+    and its other attempts, no count needs: ``rng`` is handed on, and
+    :meth:`CampaignRecords.heralded` draws them next.
 
     Every pass writes into one workspace, sized by the first (and largest)
     substream's draw bounds and allocated once per campaign as a single
@@ -484,30 +534,30 @@ def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterat
     n_max = params.n_write_max
     table = _four_fold_table(params)
     size = _substream_trials(params)
+    big_a = _herald_within(p_a, n_max)
     first = min(size, n_trials)
-    # B draws over A's heralds, which one draw of A's bound never exceeds
-    bound_a = _draw_bound(first * _herald_within(p_a, n_max))
-    k = max(bound_a, _draw_bound(min(first, bound_a) * _herald_within(p_b, n_max)))
+    # B draws over A's herald count, which A's draw bound nearly never exceeds
+    k = _draw_bound(min(first, _draw_bound(first * big_a)) * _herald_within(p_b, n_max))
     draws, gathered, *ints, hits = _workspace(
-        *[(np.float64, k)] * 2, *[(np.int64, k)] * 5, (np.bool_, k)
+        *[(np.float64, k)] * 2, *[(np.int64, k)] * 3, (np.bool_, k)
     )
     for c in range(-(-n_trials // size)):
         m = min(size, n_trials - c * size)
         rng = np.random.default_rng([seed, c])
-        pos_a, att_a = _heralds(rng, p_a, n_max, m, (draws, *ints[0:2]))
-        in_a, att_b = _heralds(rng, p_b, n_max, pos_a.size, (draws, *ints[2:4]))
+        n_a = int(rng.binomial(m, big_a))
+        in_a, att_b = _heralds(rng, p_b, n_max, n_a, (draws, *ints[:2]))
         n = in_a.size
-        step = (draws, gathered, ints[4], hits) if n <= k else _workspace(
+        step = (draws, gathered, ints[2], hits) if n <= k else _workspace(
             (np.float64, n), (np.float64, n), (np.int64, n), (np.bool_, n)
         )
-        uniforms, table_at, joint_a, four_fold = (w[:n] for w in step)
-        gap = uniforms.view(np.int64)  # the table index, over B's spent draws
+        uniforms, table_at, att_a, four_fold = (w[:n] for w in step)
+        _attempts(rng, p_a, n_max, uniforms, att_a)
+        gap = uniforms.view(np.int64)  # the table index, over A's spent draws
+        np.add(np.subtract(att_b, att_a, out=gap), n_max - 1, out=gap)
         # mode="raise" would copy into out; every index is in range
-        np.take(att_a, in_a, out=joint_a, mode="clip")
-        np.add(np.subtract(att_b, joint_a, out=gap), n_max - 1, out=gap)
         np.take(table, gap, out=table_at, mode="clip")
         np.less(rng.random(out=uniforms), table_at, out=four_fold)
-        yield c * size, m, rng, (pos_a, att_a), in_a, att_b, four_fold
+        yield c * size, m, rng, n_a, in_a, (att_a, att_b), four_fold
 
 
 def simulate_campaign(params: ProtocolParams, n_trials: int, seed: int) -> CoincidenceStats:
@@ -538,29 +588,38 @@ class CampaignRecords:
         ``run`` holds the heralded trials only, sorted by trial, as one
         column per ``TRIAL_RECORD_DTYPE`` field: a herald is an attempt
         index, -1 where the node did not herald, and both holds are NaN
-        unless both nodes heralded.  Node A's heralds come from the count's
-        draws, B's on A's empty trials from the substream's last draws;
-        every trial not in the run heralded on neither node.
+        unless both nodes heralded.  Each substream goes on from the
+        count's draws: A's n_a herald trials, a sorted uniform subset of
+        the substream (:func:`_herald_trials`), then A's attempts at its
+        heralds that B did not share, then B's heralds on A's empty
+        trials.  Every trial not in the run heralded on neither node.
         """
-        p_b, n_max = self.params.source_b.herald_prob, self.params.n_write_max
+        p_a, p_b = self.params.source_a.herald_prob, self.params.source_b.herald_prob
+        n_max = self.params.n_write_max
         chunks = _campaign_chunks(self.params, self.n_trials, self.seed)
-        for lo, m, rng, (pos_a, att_a), in_a, att_b, four_fold in chunks:
-            in_empty, att_e = _heralds(rng, p_b, n_max, m - pos_a.size)
+        for lo, m, rng, n_a, in_a, (joint_a, att_b), four_fold in chunks:
+            pos_a = _herald_trials(rng, m, n_a)
+            # A's heralds that B did not share, by the same mapping as A's empty trials
+            lone = _empty_trials(in_a, np.arange(n_a - in_a.size))
+            att_lone = _attempts(rng, p_a, n_max, np.empty(lone.size), np.empty(lone.size, np.int64))
+            in_empty, att_e = _heralds(rng, p_b, n_max, m - n_a)
             trial_e = _empty_trials(pos_a, in_empty)
             # a row's place is its index in its own run plus the other run's
             # rows before it: for B's lone heralds, trial_e - in_empty A heralds
-            rows_a = np.arange(pos_a.size) + np.searchsorted(trial_e, pos_a)
+            rows_a = np.arange(n_a) + np.searchsorted(trial_e, pos_a)
             rows_e = np.arange(trial_e.size) + trial_e - in_empty
             joint = rows_a[in_a]
             # the workspace's views are copied before the next substream is drawn
             trial, herald_a, herald_b = np.full((3, rows_a.size + rows_e.size), -1, np.int64)
             trial[rows_a], trial[rows_e] = pos_a + lo, trial_e + lo
-            herald_a[rows_a], herald_b[rows_e], herald_b[joint] = att_a, att_e, att_b
+            herald_a[rows_a[lone]], herald_a[joint] = att_lone, joint_a
+            herald_b[rows_e], herald_b[joint] = att_e, att_b
             holds = np.full((2, trial.size), np.nan)
-            holds[:, joint] = _holds(self.params, att_a[in_a], att_b)
+            holds[:, joint] = _holds(self.params, joint_a, att_b)
             joint_four_fold = np.zeros(trial.size, dtype=bool)
             joint_four_fold[joint] = four_fold
-            del in_empty, att_e, trial_e, rows_a, rows_e, joint  # only the run outlives the yield
+            # only the run outlives the yield
+            del pos_a, lone, att_lone, in_empty, att_e, trial_e, rows_a, rows_e, joint
             yield lo, m, (trial, herald_a, herald_b, *holds, joint_four_fold)
 
 

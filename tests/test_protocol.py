@@ -17,8 +17,10 @@ from heraldsync.config import N_WRITE_MAX_CAP
 from heraldsync.photon_stats import FockDistribution, SourceParams
 from heraldsync.protocol import (
     _GRID_CELLS,
+    _attempts,
     _empty_trials,
     _four_fold_table,
+    _herald_trials,
     _heralds,
     _holds,
     _retrieved,
@@ -778,12 +780,12 @@ DENSE_DARK = ProtocolParams(
     [
         pytest.param(
             default_params(), 300_000, 31,
-            "345ef91826cdd19d1268ac9c4c559ff83c80da639a637e05e091553ff8920b31", 1,
+            "867d884aeff7d4916a6da675f86110d69b0aab00a76176f1616def2f61bb0046", 0,
             id="sparse-two-substreams",
         ),
         pytest.param(
             replace(DENSE_DARK, tau_c_us=12.0, latency_ns=1500.0), 200_000, 4,
-            "9247be0a315276726ede61423c6c9a50bf1ee6759eb0a8e908baf684ef42122a", 49_444,
+            "19aa218ce3dde0dc7d10f8a56cbc66676476c5cbef1751ea798a549baccf6e41", 49_435,
             id="dense-latency",
         ),
         pytest.param(
@@ -988,18 +990,18 @@ def test_heralds_multi_part_draws_leave_the_workspace_intact():
 
 def test_dense_campaign_memory_is_one_workspace():
     # the dense sources heralding in 93% and 97% of trials: the workspace
-    # holds k = 62 090 draws (node A's bound over a 2**16-trial substream,
-    # above B's 61 167 over A's), as 2 float64 and 5 int64 arrays and one
-    # bool array, 3 539 136 bytes, allocated once; no substream adds more
+    # holds k = 61 167 draws (node B's bound over the 62 090 heralds that
+    # bound node A's count in a 2**16-trial substream), as 2 float64 and 3
+    # int64 arrays and one bool array, 2 507 848 bytes, allocated once; no
+    # substream adds more
     params, size = DENSE_DARK, 1 << 16
     assert _substream_trials(params) == size
     n_max = params.n_write_max
     bound_a = draw_bound(params.source_a.herald_prob, n_max, size)
-    bound_b = draw_bound(params.source_b.herald_prob, n_max, bound_a)
-    assert (bound_a, bound_b) == (62_090, 61_167)
-    k = max(bound_a, bound_b)
-    workspace_bytes = 7 * 8 * k + 8 * -(-k // 8)  # the bools padded to 8 bytes
-    assert workspace_bytes == 3_539_136
+    k = draw_bound(params.source_b.herald_prob, n_max, bound_a)
+    assert (bound_a, k) == (62_090, 61_167)
+    workspace_bytes = 5 * 8 * k + 8 * -(-k // 8)  # the bools padded to 8 bytes
+    assert workspace_bytes == 2_507_848
     peaks = []
     for n_trials in (size, 8 * size + 5):
         tracemalloc.start()
@@ -1083,6 +1085,110 @@ def test_node_b_follows_its_law_where_a_heralded_and_where_not(p_a, p_b):
         assert_heralds_follow_law(records[side], "herald_b", p_b, params.n_write_max)
 
 
+# One uniformity check per way node A's herald trials are drawn: sorted
+# draws up to 1/16 of the substream, a mask of the herald trials up to 1/2,
+# and a mask of the trials left out past it.
+@pytest.mark.parametrize(
+    "params,branch",
+    [
+        pytest.param(default_params(), "sorted", id="sorted-draws"),
+        pytest.param(make_params(p_a=0.01, p_b=0.01), "heralds", id="mask-heralds"),
+        pytest.param(DENSE_DARK, "left-out", id="mask-left-out"),
+    ],
+)
+def test_node_a_herald_trials_are_uniform_over_the_substream(params, branch):
+    # A's n_a herald trials are a uniform subset of the substream: 16 equal
+    # bins, chi-square with the finite-population factor (m - 1)/(m - n_a) of
+    # the multivariate hypergeometric, at the 1e-3 level; the statistic is
+    # the same for the trials left out.  The joint share of A's heralds is
+    # Binomial(n_a, P_B) and both nodes follow their own law.
+    m, n_max = _substream_trials(params), params.n_write_max
+    _, records = simulate_campaign_records(params, m, seed=61)
+    heralded = records["herald_a"] >= 0
+    n_a = int(np.count_nonzero(heralded))
+    assert {"sorted": 16 * n_a <= m, "heralds": m < 16 * n_a <= 8 * m,
+            "left-out": 2 * n_a > m}[branch]
+    bins = 16
+    observed = np.bincount(np.flatnonzero(heralded) * bins // m, minlength=bins)
+    statistic = ((observed - n_a / bins) ** 2).sum() / (n_a / bins) * (m - 1) / (m - n_a)
+    assert sps.chi2.sf(statistic, bins - 1) > 1e-3, observed
+    assert_heralds_follow_law(records[heralded], "herald_b", params.source_b.herald_prob, n_max)
+    for source, column in ((params.source_a, "herald_a"), (params.source_b, "herald_b")):
+        assert_heralds_follow_law(records, column, source.herald_prob, n_max)
+
+
+@given(m=st.integers(min_value=1, max_value=5000), share=st.floats(0.0, 1.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(m=5000, share=0.0, seed=1)
+@example(m=5000, share=1.0, seed=1)
+@example(m=5000, share=0.5, seed=1)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_herald_trials_are_a_sorted_subset_of_the_asked_size(m, share, seed):
+    n = round(share * m)
+    trials = _herald_trials(np.random.default_rng(seed), m, n)
+    assert trials.dtype == np.int64 and trials.size == n
+    assert np.all(np.diff(trials) > 0) and (n == 0 or 0 <= trials[0] <= trials[-1] < m)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(1.0, id="certain"),
+        pytest.param(1.0 - 1e-12, id="nearly-certain"),
+        pytest.param(SourceParams(gamma0=0.08, p_as=1e-17, eta_as=0.5).herald_prob, id="1e-17"),
+        pytest.param(5e-324, id="5e-324"),
+    ],
+)
+def test_attempt_draw_stays_in_the_budget_and_never_warns(p):
+    # -log1p(-U*P)/lambda stays below N but for rounding, which the clip
+    # takes; at p = 1 lambda is infinite and nothing is drawn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_max in (1, 12, N_WRITE_MAX_CAP):
+            size = 100_000
+            attempts = _attempts(np.random.default_rng(8), p, n_max, np.empty(size),
+                                 np.empty(size, np.int64))
+            assert 0 <= attempts.min() and attempts.max() <= n_max - 1
+            if p > 0.5:
+                # P(attempt >= 1) = 1 - p: none in 10**5 draws
+                assert not attempts.any()
+            elif n_max == 12 and p > 1e-300:
+                # (1 - p)**k is 1 to the last bit: uniform over the budget (a
+                # subnormal U*P keeps only its multiple of 2**-1074)
+                observed = np.bincount(attempts, minlength=n_max)
+                assert sps.chisquare(observed).pvalue > 1e-3, observed
+        for pair in ((p, 0.3), (0.3, p)):
+            params = make_params(p_a=pair[0], p_b=pair[1])
+            stats, records = simulate_campaign_records(params, HERALD_TRIALS, seed=6)
+            check_records(params, stats, records, HERALD_TRIALS)
+
+
+def test_attempts_follow_the_truncated_geometric_law():
+    # the joint-trial draw alone, against P(k) = p q**k / (1 - q**N)
+    p, n_max, size = 0.2, 12, 200_000
+    attempts = _attempts(np.random.default_rng(13), p, n_max, np.empty(size),
+                         np.empty(size, np.int64))
+    law = p * (1.0 - p) ** np.arange(n_max)
+    observed = np.bincount(attempts, minlength=n_max)
+    assert sps.chisquare(observed, size * law / law.sum()).pvalue > 1e-3, observed
+
+
+def test_sparse_record_pass_memory_is_flat_in_trials():
+    # a substream of 5*10**7 trials with about 600 heralds per node: its
+    # record pass holds O(heralds), no mask or arange over the trials
+    params = make_params(p_a=1e-6, p_b=1e-6)
+    n_trials = 5 * 10**7
+    assert _substream_trials(params) >= n_trials
+    tracemalloc.start()
+    try:
+        rows = sum(run[0].size for _, _, run in CampaignRecords(params, n_trials, 4).heralded())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < rows < 2_000
+    assert peak < 1_000_000, peak
+
+
 @pytest.mark.parametrize("params", BRUTE_FORCE_CASES + LATENCY_CASES)
 def test_four_fold_table_is_the_closed_form_gap_terms(params):
     # the campaign's per-gap success is the closed form's r_a * r_b at that
@@ -1136,6 +1242,61 @@ def test_records_four_fold_per_gap_matches_table(params):
         p = table[g + n - 1]
         tail = min(sps.binom.cdf(k, size, p), sps.binom.sf(k - 1, size, p))
         assert 2.0 * tail > 1e-3 / len(strata), (g, k, size * p)
+
+
+# Dense configs for the joint law slot by slot: eta_as with dark counts,
+# Gaussian decay and a 1500 ns latency; both decays' two-excitation
+# memory; and p = 1 on either node.
+SLOT_LAW_CASES = [
+    pytest.param(replace(DENSE_DARK, tau_c_us=12.0, latency_ns=1500.0), id="dense-latency"),
+    pytest.param(ASYMMETRIC_DENSE, id="asymmetric-exponential"),
+    pytest.param(
+        make_params(p_a=1.0, p_b=0.25, gamma0=0.6, n_write_max=8, tau_c_us=3.0,
+                    decay_model=DecayModel.EXPONENTIAL),
+        id="certain-a",
+    ),
+    pytest.param(
+        ProtocolParams(
+            source_a=SourceParams(gamma0=0.7, p_as=0.15, eta_as=0.5, dark_click_prob=0.02),
+            source_b=SourceParams(gamma0=0.5, p_as=1.0),
+            n_write_max=6,
+            tau_c_us=4.0,
+            latency_ns=1500.0,
+        ),
+        id="certain-b",
+    ),
+]
+
+
+@pytest.mark.parametrize("params", SLOT_LAW_CASES)
+def test_joint_heralds_and_four_folds_follow_the_law_by_later_slot(params):
+    # Binned by the later herald's slot L, four-folds against the closed
+    # form's increments p4c(L + 1) - p4c(L), and joint heralds against
+    # F_a(L) F_b(L) - F_a(L - 1) F_b(L - 1) with F_j(L) = 1 - q_j**(L + 1):
+    # multinomial chi-square over the N slots and the trials outside them,
+    # each at the 1e-4 level, so eight tests at a false-alarm rate of at
+    # most 8e-4 on a fixed seed
+    n_max, n_trials = params.n_write_max, 200_000
+    slots = np.arange(n_max)
+    p4c = p4c_feedback_by_n(params, (params.tau_c_us,), slots + 1)[0]
+    by_slot = {"four_fold": np.diff(p4c, prepend=0.0)}
+    both = np.ones(n_max)
+    for source in (params.source_a, params.source_b):
+        both *= 1.0 - (1.0 - source.herald_prob) ** (slots + 1)
+    by_slot["joint"] = np.diff(both, prepend=0.0)
+    observed = {name: np.zeros(n_max, dtype=np.int64) for name in by_slot}
+    for _, _, (_, herald_a, herald_b, _, _, four_fold) in CampaignRecords(
+        params, n_trials, seed=11
+    ).heralded():
+        joint = (herald_a >= 0) & (herald_b >= 0)
+        later = np.maximum(herald_a, herald_b)
+        observed["joint"] += np.bincount(later[joint], minlength=n_max)
+        observed["four_fold"] += np.bincount(later[four_fold], minlength=n_max)
+    for name, law in by_slot.items():
+        expected = n_trials * np.append(law, 1.0 - law.sum())
+        assert expected.min() >= 5.0, (name, expected)  # the chi-square approximation holds
+        counts = np.append(observed[name], n_trials - observed[name].sum())
+        assert sps.chisquare(counts, expected).pvalue > 1e-4, (name, counts, expected)
 
 
 def substream_oracle(p_max: float) -> int:

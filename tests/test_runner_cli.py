@@ -180,7 +180,7 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
     [
         pytest.param(
             RECORDS + "seed = 7\ntrials = 70000\n",
-            "3de6ae65b5ec72252122630dabe12fb131a85c6ddb74b176985366ab8d14a128",
+            "0ae1b2238b13dceb5eabd56e021d4fa5c117b378b41faacc5715480f99939bee",
             "c82289b238b1fbc2ccf0ee79ddd473a68f8a3da7b6c9f91eff2d531b71b42702",
             id="default-across-chunk-boundary",
         ),
@@ -189,8 +189,8 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
             # block boundary inside the first and then the substream boundary
             RECORDS + "seed = 17\ntrials = 140000\nprotocol.source_a.p_as = 0.004\n"
             "protocol.source_a.gamma0 = 0.6\nprotocol.source_b.gamma0 = 0.5\n",
-            "0e6173e76bd117e01d3862cb4c5b4947aaecc266e69472480c4a2315faad66ef",
-            "f9887807f42a268388239efd5dff1f86fd305942bd3bf560015dc095265f2684",
+            "4364f00abb7041c5643c350420ee73491555b7056af0a28903436e1bf27e0cbc",
+            "9a0675d748c748e079d783be190e23941298d4df9f5e9ebb6304e49744423ad8",
             id="across-substream-boundary",
         ),
         pytest.param(
@@ -202,8 +202,8 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
         pytest.param(
             RECORDS + "seed = 11\ntrials = 5000\nprotocol.tau_c_us = 8.0\n"
             "protocol.decay_model = exponential\n" + RECORD_SOURCES_DENSE,
-            "6f31af2bfe08389f7a0265d5659d14b2e31edfc5fcef4fbf26f705f6edd48eb4",
-            "ac9653f2652f4b2adbf65e5cf348b4022bcd3dd0598cc28ac5c0bf763c1acc75",
+            "32c34143fb73972800c4ee6847f75d6662bd393183931d6e3e87cbd01b850b5b",
+            "adf5fc32932a2042fecd860e71bdb5f35042bd645536fda253611199fa8fc14e",
             id="dense-dark-exponential",
         ),
         pytest.param(
@@ -211,8 +211,8 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
             "protocol.n_write_max = 4\n"
             "protocol.source_a.p_as = 0.1\nprotocol.source_b.p_as = 0.2\n"
             "protocol.source_a.gamma0 = 0.6\nprotocol.source_b.gamma0 = 0.6\n",
-            "f574436f69a9de35c3efc677735cd14fced81f15a0d50a46851e9cbbe6cca8ea",
-            "ecf961bf528794459ccc643d38e4456598edb0fe96f6a37bffc9d9148fa582cb",
+            "1993d6abd6a012e6b8515b7ee2453e107e866491ea4f991dc8bb60cbbebaf6c8",
+            "0d8e65f45889573687b194ae6df42a73795ca37c85f9776be928cb3d34eb2968",
             id="latency",
         ),
         pytest.param(
@@ -316,7 +316,7 @@ GRID_NS = "1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 200
             "protocol.source_a.gamma0 = 0.5\nprotocol.source_b.gamma0 = 0.5\n"
             "protocol.latency_ns = 300.0\n",
             None,
-            "f0437956514a83fc0e34cf97dc04ece7d0b9161a9d43e165dffe8ea31bb1023b",
+            "8cdb84fe2bdb27a119e41f4821415878fcce06dae591a23f8fddc20c4d71f204",
             id="protocol-sim-summary",
         ),
     ],
