@@ -486,13 +486,13 @@ def _attempts(rng: np.random.Generator, p: float, n_max: int, u, out) -> np.ndar
 def _herald_trials(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """A sorted uniform ``n``-subset of the trials 0 to m - 1, in O(n) memory.
 
-    Up to n = m/16, n uniform draws are sorted and each repeat is drawn
-    again, until none is left; at most 1/32 of the draws repeat per round.
-    Past that, uniform draws mark a mask, m bytes or 16 per chosen trial,
-    until n trials are marked, or past m/2 until the m - n trials left out
-    are.  Either way every round draws only what is still missing and
-    treats all trials alike, so every subset of the final size is equally
-    likely.
+    Uniform draws are taken in rounds, each drawing only the trials still
+    missing, until n distinct trials are drawn, or past n = m/2 until the
+    m - n trials left out are.  The rounds treat all trials alike, so every
+    subset of the final size is equally likely.  Up to n = m/16 the draws
+    are sorted and each repeat, about n/2m of them, is drawn again; past
+    that they mark a mask of m bytes, 16 or fewer per chosen trial, which
+    is faster there.  Both take the same draws and give the same trials.
     """
     if 16 * n <= m:
         trials = np.sort(rng.integers(m, size=n))

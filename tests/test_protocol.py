@@ -922,8 +922,9 @@ def herald_workspace(length: int):
 
 def assert_workspace_is_invisible(rng_for, p, n_max, m, length):
     # the same arrays and the same generator state after, so that every
-    # later draw of the substream (B's heralds, the four-fold uniforms, B
-    # on A's empty trials) lines up
+    # later draw of the substream (A's joint attempts, the four-fold
+    # uniforms, and for records A's herald trials and B on A's empty
+    # trials) lines up
     plain_rng, work_rng = rng_for(), rng_for()
     plain = _heralds(plain_rng, p, n_max, m)
     work = herald_workspace(length)
@@ -1161,16 +1162,6 @@ def test_attempt_draw_stays_in_the_budget_and_never_warns(p):
             params = make_params(p_a=pair[0], p_b=pair[1])
             stats, records = simulate_campaign_records(params, HERALD_TRIALS, seed=6)
             check_records(params, stats, records, HERALD_TRIALS)
-
-
-def test_attempts_follow_the_truncated_geometric_law():
-    # the joint-trial draw alone, against P(k) = p q**k / (1 - q**N)
-    p, n_max, size = 0.2, 12, 200_000
-    attempts = _attempts(np.random.default_rng(13), p, n_max, np.empty(size),
-                         np.empty(size, np.int64))
-    law = p * (1.0 - p) ** np.arange(n_max)
-    observed = np.bincount(attempts, minlength=n_max)
-    assert sps.chisquare(observed, size * law / law.sum()).pvalue > 1e-3, observed
 
 
 def test_sparse_record_pass_memory_is_flat_in_trials():
