@@ -449,6 +449,13 @@ def _empty_trials(taken: np.ndarray, k: np.ndarray) -> np.ndarray:
     return k + np.searchsorted(taken - np.arange(taken.size), k, "right")
 
 
+def _others(taken: np.ndarray, n: int) -> np.ndarray:
+    """The integers 0 to n - 1 not in ``taken``, in order."""
+    kept = np.ones(n, dtype=bool)
+    kept[taken] = False
+    return np.flatnonzero(kept)
+
+
 def _workspace(*fields) -> list:
     """Views into one ``np.empty`` block, one per ``(dtype, length)`` field,
     each starting on an 8-byte boundary."""
@@ -484,29 +491,22 @@ def _attempts(rng: np.random.Generator, p: float, n_max: int, u, out) -> np.ndar
 
 
 def _herald_trials(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """A sorted uniform ``n``-subset of the trials 0 to m - 1, in O(n) memory.
+    """A sorted uniform ``n``-subset of the trials 0 to m - 1.
 
-    Uniform draws are taken in rounds, each drawing only the trials still
-    missing, until n distinct trials are drawn, or past n = m/2 until the
-    m - n trials left out are.  The rounds treat all trials alike, so every
-    subset of the final size is equally likely.  Up to n = m/16 the draws
-    are sorted and each repeat, about n/2m of them, is drawn again; past
-    that they mark a mask of m bytes, 16 or fewer per chosen trial, which
-    is faster there.  Both take the same draws and give the same trials.
+    k = min(n, m - n) uniform trials are drawn and sorted, and each repeat
+    is drawn again, in rounds, until k distinct trials are drawn; past n =
+    m/2 those are the trials left out.  The rounds treat all trials alike,
+    so every subset of the final size is equally likely.  Each round's
+    fresh draws are sorted alone and merged in by a stable sort, which
+    takes the two sorted runs in one pass.  Memory is O(k), and O(m) only
+    for the complement, which is that long anyway.
     """
-    if 16 * n <= m:
-        trials = np.sort(rng.integers(m, size=n))
-        while repeats := np.count_nonzero(same := trials[1:] == trials[:-1]):
-            fresh = rng.integers(m, size=repeats)
-            trials = np.sort(np.concatenate([trials[:-1][~same], trials[-1:], fresh]))
-        return trials
-    marks = min(n, m - n)
-    marked = np.zeros(m, dtype=bool)
-    count = 0
-    while count < marks:
-        marked[rng.integers(m, size=marks - count)] = True
-        count = np.count_nonzero(marked)
-    return np.flatnonzero(marked if marks == n else ~marked)
+    k = min(n, m - n)
+    trials = np.sort(rng.integers(m, size=k))
+    while repeats := np.count_nonzero(same := trials[1:] == trials[:-1]):
+        fresh = np.sort(rng.integers(m, size=repeats))
+        trials = np.sort(np.concatenate([trials[:-1][~same], trials[-1:], fresh]), kind="stable")
+    return trials if k == n else _others(trials, m)
 
 
 def _campaign_chunks(params: ProtocolParams, n_trials: int, seed: int) -> Iterator[tuple]:
@@ -599,15 +599,14 @@ class CampaignRecords:
         chunks = _campaign_chunks(self.params, self.n_trials, self.seed)
         for lo, m, rng, n_a, in_a, (joint_a, att_b), four_fold in chunks:
             pos_a = _herald_trials(rng, m, n_a)
-            # A's heralds that B did not share, by the same mapping as A's empty trials
-            lone = _empty_trials(in_a, np.arange(n_a - in_a.size))
+            lone = _others(in_a, n_a)  # A's heralds that B did not share
             att_lone = _attempts(rng, p_a, n_max, np.empty(lone.size), np.empty(lone.size, np.int64))
             in_empty, att_e = _heralds(rng, p_b, n_max, m - n_a)
             trial_e = _empty_trials(pos_a, in_empty)
-            # a row's place is its index in its own run plus the other run's
-            # rows before it: for B's lone heralds, trial_e - in_empty A heralds
-            rows_a = np.arange(n_a) + np.searchsorted(trial_e, pos_a)
+            # B's lone herald k has k of its own rows and trial_e - in_empty
+            # of A's before it; A's heralds fill the other rows in order
             rows_e = np.arange(trial_e.size) + trial_e - in_empty
+            rows_a = _others(rows_e, n_a + trial_e.size)
             joint = rows_a[in_a]
             # the workspace's views are copied before the next substream is drawn
             trial, herald_a, herald_b = np.full((3, rows_a.size + rows_e.size), -1, np.int64)
